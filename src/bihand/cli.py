@@ -72,7 +72,16 @@ def _check_layernorm():
     layer = LayerNormLayer(6)
     x = Tensor(rng.uniform(-2, 2, (3, 6)), requires_grad=True)
     probe = Tensor(rng.uniform(-1, 1, (3, 6)))
-    return fd_check(lambda: (layer(x) * probe).sum(), [x, layer.gamma, layer.beta])
+    trailing = fd_check(lambda: (layer(x) * probe).sum(), [x, layer.gamma, layer.beta])
+
+    # spatial norm of a [c,h,w] map, with a non-trivial channel affine
+    norm = LayerNormLayer(3, axes=(1, 2))
+    norm.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
+    norm.beta.data[:] = rng.uniform(-1, 1, 3)
+    fmap = Tensor(rng.uniform(-2, 2, (3, 4, 5)), requires_grad=True)
+    fprobe = Tensor(rng.uniform(-1, 1, (3, 4, 5)))
+    spatial = fd_check(lambda: (norm(fmap) * fprobe).sum(), [fmap, norm.gamma, norm.beta])
+    return max(trailing, spatial)
 
 
 def _check_softmax():

@@ -64,12 +64,6 @@ def rodrigues(aa):
 
 
 @dataclass
-class HandParams:
-    theta: Tensor  # [16,3] axis-angle, radians
-    beta: Tensor   # [10] shape coefficients
-
-
-@dataclass
 class HandOutput:
     vertices: Tensor  # [V,3] mm
     joints: Tensor    # [21,3] mm, regressor @ vertices
@@ -77,24 +71,19 @@ class HandOutput:
 
 @dataclass
 class FkResult:
-    """World and relative-to-rest transforms per joint, as graph tensors."""
+    """World and relative-to-rest transforms per joint, as graph tensors.
+
+    A relative transform shares its rotation with the world transform, so
+    skinning applies (world_rot[k], rel_pos[k]).
+    """
     world_rot: list   # 16 x Tensor[3,3]
     world_pos: list   # 16 x Tensor[3]
-    rel_rot: list     # 16 x Tensor[3,3]
     rel_pos: list     # 16 x Tensor[3]
-
-    def world_mats(self):
-        """Detached [16,4,4] homogeneous world transforms."""
-        return self._mats(self.world_rot, self.world_pos)
 
     def rel_mats(self):
         """Detached [16,4,4] relative transforms applied by skinning."""
-        return self._mats(self.rel_rot, self.rel_pos)
-
-    @staticmethod
-    def _mats(rots, poss):
         out = np.tile(np.eye(4), (NUM_JOINTS, 1, 1))
-        for i, (r, p) in enumerate(zip(rots, poss)):
+        for i, (r, p) in enumerate(zip(self.world_rot, self.rel_pos)):
             out[i, :3, :3] = r.data
             out[i, :3, 3] = p.data
         return out
@@ -104,7 +93,7 @@ class HandRig:
     """Immutable rig: template mesh, joint tree, weights, blendshapes, regressor."""
 
     def __init__(self, template, faces, parents, rest_joints, weights,
-                 blendshapes, regressor, pose_blendshapes=None):
+                 blendshapes, regressor):
         self.template = np.ascontiguousarray(template, dtype=np.float64)
         self.faces = [tuple(int(i) for i in f) for f in faces]
         self.parents = [int(p) for p in parents]
@@ -112,8 +101,6 @@ class HandRig:
         self.weights = np.ascontiguousarray(weights, dtype=np.float64)
         self.blendshapes = np.ascontiguousarray(blendshapes, dtype=np.float64)
         self.regressor = np.ascontiguousarray(regressor, dtype=np.float64)
-        self.pose_blendshapes = (None if pose_blendshapes is None else
-                                 np.ascontiguousarray(pose_blendshapes, dtype=np.float64))
         self.offsets = self.rest_joints.copy()
         for k in range(1, NUM_JOINTS):
             self.offsets[k] = self.rest_joints[k] - self.rest_joints[self.parents[k]]
@@ -170,7 +157,7 @@ def forward_kinematics(rig, theta):
     theta = 0 yields exact identities.
     """
     local = rodrigues_batch(theta)
-    world_rot, world_pos, rel_rot, rel_pos = [], [], [], []
+    world_rot, world_pos, rel_pos = [], [], []
     for k in range(NUM_JOINTS):
         rk = local[k]
         rest_k = Tensor(rig.rest_joints[k])
@@ -184,9 +171,8 @@ def forward_kinematics(rig, theta):
                 matmul(world_rot[p], reshape(Tensor(rig.offsets[k]), (3, 1))), (3,))
         world_rot.append(rw)
         world_pos.append(tw)
-        rel_rot.append(rw)
         rel_pos.append(tw - reshape(matmul(rw, reshape(rest_k, (3, 1))), (3,)))
-    return FkResult(world_rot, world_pos, rel_rot, rel_pos)
+    return FkResult(world_rot, world_pos, rel_pos)
 
 
 def shaped_template(rig, beta):
@@ -204,7 +190,7 @@ def lbs(rig, theta, beta):
     fk = forward_kinematics(rig, theta)
     posed = []
     for k in range(NUM_JOINTS):
-        posed.append(matmul(base, transpose(fk.rel_rot[k])) + fk.rel_pos[k])
+        posed.append(matmul(base, transpose(fk.world_rot[k])) + fk.rel_pos[k])
     weights = Tensor(rig.weights.T[:, :, None])  # [16, V, 1]
     vertices = (stack(posed, axis=0) * weights).sum(axis=0)
     joints = matmul(Tensor(rig.regressor), vertices)
@@ -342,15 +328,18 @@ def save_rig_json(rig, path):
         "weights": rig.weights.tolist(),
         "blendshapes": rig.blendshapes.tolist(),
         "regressor": rig.regressor.tolist(),
-        "pose_blendshapes": (None if rig.pose_blendshapes is None
-                             else rig.pose_blendshapes.tolist()),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
 
 def load_rig_json(path):
-    """Load and revalidate a rig; any violated invariant is named in the error."""
+    """Load and revalidate a rig; any violated invariant is named in the error.
+
+    Pose-corrective blendshapes are not applied by ``lbs``, so a file that
+    carries a non-null ``pose_blendshapes`` is rejected rather than skinned
+    without them.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     required = ("template", "faces", "parents", "rest_joints", "weights",
@@ -358,6 +347,7 @@ def load_rig_json(path):
     for key in required:
         if key not in doc:
             raise ValueError(f"rig file missing field {key!r}")
-    return HandRig(doc["template"], doc["faces"], doc["parents"],
-                   doc["rest_joints"], doc["weights"], doc["blendshapes"],
-                   doc["regressor"], doc.get("pose_blendshapes"))
+    if doc.get("pose_blendshapes") is not None:
+        raise ValueError("rig field 'pose_blendshapes' is not supported: "
+                         "lbs applies no pose-corrective blendshapes")
+    return HandRig(*(doc[key] for key in required))

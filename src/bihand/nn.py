@@ -2,9 +2,9 @@
 and the cross-hand non-local attention block.
 
 Feature maps are [channels, height, width] tensors. Layers are immutable
-parameter holders after construction; ``params()`` yields (name, Tensor)
-pairs in a fixed order so the checkpoint format and the parameter counter
-see identical registries.
+parameter holders after construction; ``Module.params()`` yields (name,
+Tensor) pairs in a fixed order so the checkpoint format and the parameter
+counter see identical registries.
 """
 
 import numpy as np
@@ -12,20 +12,53 @@ import numpy as np
 from .tensor import Tensor, graph_op, matmul, reshape, transpose, _accum
 
 
-def he_normal(rng, shape, fan_in):
+class Module:
+    """Parameter registry shared by every layer and network stage.
+
+    ``params()`` walks ``vars(self)`` in declaration order, so declaration
+    order is checkpoint record order. A Tensor attribute ``x`` is recorded
+    as ``x``; a Module attribute ``m`` contributes its own records as
+    ``m.<name>``; element i of a list attribute such as ``blocks`` is named
+    ``block{i}`` (the trailing "s" dropped). An object reached a second time,
+    such as a head shared by both hands, is recorded once under its first
+    name. Every other attribute (ints, arrays, configs, the rig) is skipped.
+    """
+
+    def params(self):
+        return self._records("", set())
+
+    def _records(self, prefix, seen):
+        out = []
+        for attr, value in vars(self).items():
+            items = ([(f"{attr[:-1]}{i}", v) for i, v in enumerate(value)]
+                     if isinstance(value, list) else [(attr, value)])
+            for name, obj in items:
+                if not isinstance(obj, (Tensor, Module)) or id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                if isinstance(obj, Tensor):
+                    out.append((prefix + name, obj))
+                else:
+                    out += obj._records(f"{prefix}{name}.", seen)
+        return out
+
+
+def init_weight(rng, shape, fan_in, zero_init):
+    """He-normal draw from ``rng``, or zeros when ``zero_init`` is set."""
+    if zero_init:
+        return np.zeros(shape)
+    if rng is None:
+        raise ValueError("a layer needs an rng unless it is zero-initialized")
     return rng.normal(0.0, np.sqrt(2.0 / max(fan_in, 1)), size=shape)
 
 
-class Linear:
+class Linear(Module):
     """x[n,in] @ weight[in,out] + bias[out]."""
 
     def __init__(self, in_features, out_features, rng=None, zero_init=False):
         self.in_features = in_features
         self.out_features = out_features
-        if zero_init or rng is None:
-            w = np.zeros((in_features, out_features))
-        else:
-            w = he_normal(rng, (in_features, out_features), in_features)
+        w = init_weight(rng, (in_features, out_features), in_features, zero_init)
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
@@ -35,9 +68,6 @@ class Linear:
         flat = x if x.ndim == 2 else reshape(x, (1, self.in_features))
         out = matmul(flat, self.weight) + self.bias
         return out if x.ndim == 2 else reshape(out, (self.out_features,))
-
-    def params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
 
 def conv2d_raw(x, weight, bias, stride=1, padding=0):
@@ -83,15 +113,12 @@ def conv2d_raw(x, weight, bias, stride=1, padding=0):
     return out
 
 
-class Conv2dLayer:
+class Conv2dLayer(Module):
     def __init__(self, in_channels, out_channels, kernel_size, stride=1, padding=0,
                  rng=None, zero_init=False):
         k = kernel_size
-        fan_in = in_channels * k * k
-        if zero_init or rng is None:
-            w = np.zeros((out_channels, in_channels, k, k))
-        else:
-            w = he_normal(rng, (out_channels, in_channels, k, k), fan_in)
+        w = init_weight(rng, (out_channels, in_channels, k, k), in_channels * k * k,
+                        zero_init)
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.stride = stride
@@ -99,9 +126,6 @@ class Conv2dLayer:
 
     def __call__(self, x):
         return conv2d_raw(x, self.weight, self.bias, self.stride, self.padding)
-
-    def params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
 
 def conv1x1_as_matmul(x, weight, bias):
@@ -113,31 +137,44 @@ def conv1x1_as_matmul(x, weight, bias):
     return reshape(out, (cout, h, w))
 
 
-class LayerNormLayer:
-    """Normalize the trailing feature axis, then scale and shift."""
+class LayerNormLayer(Module):
+    """Normalize over ``axes``, then scale and shift per feature.
 
-    def __init__(self, features, eps=1e-5):
+    ``axes=(-1,)`` normalizes the trailing feature axis of [..., features];
+    ``axes=(1, 2)`` normalizes each channel of a [features, h, w] map over
+    its spatial positions, with the affine broadcast along channels.
+    """
+
+    AXES = ((-1,), (1, 2))
+
+    def __init__(self, features, eps=1e-5, axes=(-1,)):
         self.features = features
         self.eps = float(eps)
         if self.eps <= 0:
             raise ValueError("layernorm eps must be positive")
+        self.axes = tuple(axes)
+        if self.axes not in self.AXES:
+            raise ValueError(f"layernorm axes must be one of {self.AXES}, got {axes}")
         self.gamma = Tensor(np.ones(features), requires_grad=True)
         self.beta = Tensor(np.zeros(features), requires_grad=True)
 
     def __call__(self, x):
-        if x.shape[-1] != self.features:
+        spatial = self.axes == (1, 2)
+        if spatial and (x.ndim != 3 or x.shape[0] != self.features):
+            raise ValueError(f"layernorm expects [{self.features},h,w], got {x.shape}")
+        if not spatial and x.shape[-1] != self.features:
             raise ValueError(f"layernorm expects trailing dim {self.features}, got {x.shape}")
-        mu = x.mean(axis=-1, keepdims=True)
+        mu = x.mean(axis=self.axes, keepdims=True)
         centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=self.axes, keepdims=True)
         normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
+        if not spatial:
+            return normed * self.gamma + self.beta
+        shape = (self.features, 1, 1)
+        return normed * reshape(self.gamma, shape) + reshape(self.beta, shape)
 
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
 
-
-class MlpLayer:
+class MlpLayer(Module):
     """Linear -> ReLU -> Linear with equal input and output widths."""
 
     def __init__(self, width, ratio=2, rng=None, zero_init_out=False):
@@ -148,10 +185,6 @@ class MlpLayer:
 
     def __call__(self, x):
         return self.fc2(self.fc1(x).relu())
-
-    def params(self):
-        return ([("fc1." + n, t) for n, t in self.fc1.params()]
-                + [("fc2." + n, t) for n, t in self.fc2.params()])
 
 
 def softmax(x, axis=-1):
@@ -219,7 +252,7 @@ def grid_sample(f, points):
     return out
 
 
-class NonLocalBlock:
+class NonLocalBlock(Module):
     """Embedded-Gaussian non-local attention with a residual connection.
 
     Queries come from ``x`` and keys/values from ``context``, so calling it
@@ -256,26 +289,3 @@ class NonLocalBlock:
         q = reshape(self.theta(x), (self.inner, n))
         k = reshape(self.phi(context), (self.inner, n))
         return softmax(matmul(transpose(q), k), axis=1)
-
-    def params(self):
-        out = []
-        for name, layer in (("theta", self.theta), ("phi", self.phi),
-                            ("g", self.g), ("z", self.z)):
-            out += [(f"{name}.{n}", t) for n, t in layer.params()]
-        return out
-
-
-def non_local(block, x, context):
-    return block(x, context)
-
-
-def mlp(layer, x):
-    return layer(x)
-
-
-def layernorm(layer, x):
-    return layer(x)
-
-
-def conv2d(layer, x):
-    return layer(x)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import handmodel
-from .nn import Conv2dLayer, Linear, NonLocalBlock, grid_sample, softmax
+from .nn import (Conv2dLayer, LayerNormLayer, Linear, Module, NonLocalBlock,
+                 grid_sample, softmax)
 from .ssm import (SCAN_ORDERS, VmBlockLayer, featuremap_to_sequence,
                   sequence_to_featuremap)
 from .tensor import Tensor, concat, reshape, stack
@@ -187,41 +188,16 @@ class FullOutput:
 
 # -- network stages -------------------------------------------------------------
 
-class SpatialNorm:
-    """Per-channel normalization over spatial positions with a channel affine."""
-
-    def __init__(self, channels, eps=1e-5):
-        self.channels = channels
-        self.eps = eps
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True)
-
-    def __call__(self, x):
-        mu = x.mean(axis=(1, 2), keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=(1, 2), keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        c = self.channels
-        return normed * reshape(self.gamma, (c, 1, 1)) + reshape(self.beta, (c, 1, 1))
-
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-
-class _ConvNormRelu:
+class _ConvNormRelu(Module):
     def __init__(self, cin, cout, kernel, stride, padding, rng):
         self.conv = Conv2dLayer(cin, cout, kernel, stride=stride, padding=padding, rng=rng)
-        self.norm = SpatialNorm(cout)
+        self.norm = LayerNormLayer(cout, axes=(1, 2))
 
     def __call__(self, x):
         return self.norm(self.conv(x)).relu()
 
-    def params(self):
-        return ([("conv." + n, t) for n, t in self.conv.params()]
-                + [("norm." + n, t) for n, t in self.norm.params()])
 
-
-class Backbone:
+class Backbone(Module):
     """Strided trunk to [C, h, w] plus two 1x1 branch heads of C//4 channels."""
 
     def __init__(self, config, rng):
@@ -246,16 +222,8 @@ class Backbone:
         return (FeatureMap(self.head_l(x), role="F_L"),
                 FeatureMap(self.head_r(x), role="F_R"))
 
-    def params(self):
-        out = []
-        for i, stage in enumerate(self.stages):
-            out += [(f"stage{i}.{n}", t) for n, t in stage.params()]
-        out += [("head_l." + n, t) for n, t in self.head_l.params()]
-        out += [("head_r." + n, t) for n, t in self.head_r.params()]
-        return out
 
-
-class InteractionFeatureBlock:
+class InteractionFeatureBlock(Module):
     """Joint sequence transform over both hands plus cross-hand attention.
 
     Concatenated per-hand maps pass through a 1x1 conv and a stack of
@@ -273,11 +241,11 @@ class InteractionFeatureBlock:
                                     expand=config.expand, conv_width=config.conv_width,
                                     mlp_ratio=config.mlp_ratio, rng=rng)
                        for _ in range(config.vm_ife_depth)]
-        self.share = config.share_hand_heads
+        share = config.share_hand_heads
         self.attn_l = NonLocalBlock(c, rng)
-        self.attn_r = self.attn_l if self.share else NonLocalBlock(c, rng)
+        self.attn_r = self.attn_l if share else NonLocalBlock(c, rng)
         self.fuse_l = Conv2dLayer(2 * c, c, 1, rng=rng)
-        self.fuse_r = self.fuse_l if self.share else Conv2dLayer(2 * c, c, 1, rng=rng)
+        self.fuse_r = self.fuse_l if share else Conv2dLayer(2 * c, c, 1, rng=rng)
 
     def __call__(self, f_l, f_r):
         if f_l.shape != f_r.shape:
@@ -294,18 +262,6 @@ class InteractionFeatureBlock:
         starred_l = self.fuse_l(concat([enh_l, inter_l], axis=0))
         starred_r = self.fuse_r(concat([enh_r, inter_r], axis=0))
         return starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r)
-
-    def params(self):
-        out = [("initial_conv." + n, t) for n, t in self.initial_conv.params()]
-        for i, block in enumerate(self.blocks):
-            out += [(f"block{i}.{n}", t) for n, t in block.params()]
-        out += [("attn_l." + n, t) for n, t in self.attn_l.params()]
-        if not self.share:
-            out += [("attn_r." + n, t) for n, t in self.attn_r.params()]
-        out += [("fuse_l." + n, t) for n, t in self.fuse_l.params()]
-        if not self.share:
-            out += [("fuse_r." + n, t) for n, t in self.fuse_r.params()]
-        return out
 
 
 def soft_argmax(logits, positions):
@@ -333,7 +289,7 @@ def soft_argmax(logits, positions):
     return e
 
 
-class JointFeatureExtractor:
+class JointFeatureExtractor(Module):
     """Per-joint spatial and depth-bin heatmaps, decoded to 2.5D coordinates;
     features are bilinearly sampled at the decoded positions."""
 
@@ -359,12 +315,8 @@ class JointFeatureExtractor:
         feats = JointFeatures(grid_sample(f, coords.xy), refined=False)
         return Heatmap2p5D(spatial_logits, depth_logits), coords, feats
 
-    def params(self):
-        return ([("heat_conv." + n, t) for n, t in self.heat_conv.params()]
-                + [("depth_conv." + n, t) for n, t in self.depth_conv.params()])
 
-
-class JointSequenceRefiner:
+class JointSequenceRefiner(Module):
     """Shared sequence-block stack over each hand's joints as a sequence."""
 
     def __init__(self, config, rng):
@@ -384,14 +336,8 @@ class JointSequenceRefiner:
             out.append(x)
         return out[0], out[1]
 
-    def params(self):
-        out = []
-        for i, block in enumerate(self.blocks):
-            out += [(f"block{i}.{n}", t) for n, t in block.params()]
-        return out
 
-
-class DualHandRegressor:
+class DualHandRegressor(Module):
     """Dense heads: pose from flattened joint features + coordinates, shape
     from joint-averaged features, relative translation from pooled maps.
 
@@ -405,7 +351,7 @@ class DualHandRegressor:
 
     def __init__(self, config, rng):
         c, j = config.hand_channels, config.joints
-        self.share = config.share_hand_heads
+        share = config.share_hand_heads
         # coordinates join the features in grid units; normalize to O(1)
         self.coord_scale = np.array([1.0 / max(config.map_w - 1, 1),
                                      1.0 / max(config.map_h - 1, 1),
@@ -413,8 +359,8 @@ class DualHandRegressor:
         theta_dim = THETA_SHAPE[0] * THETA_SHAPE[1]
         self.theta_fc_l = Linear(j * (c + 3), theta_dim, zero_init=True)
         self.beta_fc_l = Linear(c, BETA_DIM, zero_init=True)
-        self.theta_fc_r = self.theta_fc_l if self.share else Linear(j * (c + 3), theta_dim, zero_init=True)
-        self.beta_fc_r = self.beta_fc_l if self.share else Linear(c, BETA_DIM, zero_init=True)
+        self.theta_fc_r = self.theta_fc_l if share else Linear(j * (c + 3), theta_dim, zero_init=True)
+        self.beta_fc_r = self.beta_fc_l if share else Linear(c, BETA_DIM, zero_init=True)
         self.trel_fc = Linear(2 * c, 3, zero_init=True)
 
     def _hand(self, theta_fc, beta_fc, refined, coords):
@@ -431,17 +377,8 @@ class DualHandRegressor:
         t_rel = self.trel_fc(pooled) * self.TREL_SCALE_MM
         return theta_l, beta_l, theta_r, beta_r, t_rel
 
-    def params(self):
-        out = [("theta_fc_l." + n, t) for n, t in self.theta_fc_l.params()]
-        out += [("beta_fc_l." + n, t) for n, t in self.beta_fc_l.params()]
-        if not self.share:
-            out += [("theta_fc_r." + n, t) for n, t in self.theta_fc_r.params()]
-            out += [("beta_fc_r." + n, t) for n, t in self.beta_fc_r.params()]
-        out += [("trel_fc." + n, t) for n, t in self.trel_fc.params()]
-        return out
 
-
-class BimanualHandNet:
+class BimanualHandNet(Module):
     """End-to-end differentiable model; deterministic given config and seed."""
 
     def __init__(self, config):
@@ -449,9 +386,9 @@ class BimanualHandNet:
         rng = np.random.default_rng(config.seed)
         self.backbone = Backbone(config, rng)
         self.interaction = InteractionFeatureBlock(config, rng)
-        self.share = config.share_hand_heads
         self.extractor_l = JointFeatureExtractor(config, rng)
-        self.extractor_r = self.extractor_l if self.share else JointFeatureExtractor(config, rng)
+        self.extractor_r = (self.extractor_l if config.share_hand_heads
+                            else JointFeatureExtractor(config, rng))
         self.refiner = JointSequenceRefiner(config, rng)
         self.regressor = DualHandRegressor(config, rng)
         if config.hand_model == "default":
@@ -493,20 +430,6 @@ class BimanualHandNet:
             t_rel=t_rel, aux=aux)
 
     __call__ = forward
-
-    def params(self):
-        out = [("backbone." + n, t) for n, t in self.backbone.params()]
-        out += [("interaction." + n, t) for n, t in self.interaction.params()]
-        out += [("extractor_l." + n, t) for n, t in self.extractor_l.params()]
-        if not self.share:
-            out += [("extractor_r." + n, t) for n, t in self.extractor_r.params()]
-        out += [("refiner." + n, t) for n, t in self.refiner.params()]
-        out += [("regressor." + n, t) for n, t in self.regressor.params()]
-        return out
-
-    def zero_grads(self):
-        for _, t in self.params():
-            t.grad = None
 
     def save_checkpoint(self, path):
         save_checkpoint(path, self.params())

@@ -17,7 +17,7 @@ correctness oracle and efficiency baseline.
 
 import numpy as np
 
-from .nn import Linear, LayerNormLayer, MlpLayer
+from .nn import Linear, LayerNormLayer, MlpLayer, Module
 from .tensor import Tensor, graph_op, pad, reshape, transpose, _accum
 
 SCAN_ORDERS = ("row_major", "column_major")
@@ -94,7 +94,7 @@ def selective_scan(coeffs, x):
     return out
 
 
-class SsmParams:
+class SsmParams(Module):
     """Learnable scan parameters plus the input-dependent coefficient heads."""
 
     def __init__(self, channels, state_dim, rng):
@@ -117,13 +117,6 @@ class SsmParams:
         a = -(self.a_log.exp())
         return ScanCoeffs(delta, a, self.b_proj(u), self.c_proj(u), self.d_skip)
 
-    def params(self):
-        out = [("a_log", self.a_log), ("d_skip", self.d_skip)]
-        for name, layer in (("dt_proj", self.dt_proj), ("b_proj", self.b_proj),
-                            ("c_proj", self.c_proj)):
-            out += [(f"{name}.{n}", t) for n, t in layer.params()]
-        return out
-
 
 def depthwise_conv1d_causal(x, weight, bias):
     """Per-channel causal 1-D convolution over the sequence axis.
@@ -141,7 +134,19 @@ def depthwise_conv1d_causal(x, weight, bias):
     return acc + bias
 
 
-class VmBlockLayer:
+class CausalConv1d(Module):
+    """Depthwise causal convolution layer: taps weight[ch, k], bias[ch]."""
+
+    def __init__(self, channels, width, rng):
+        self.weight = Tensor(rng.normal(0.0, 1.0 / np.sqrt(width), (channels, width)),
+                             requires_grad=True)
+        self.bias = Tensor(np.zeros(channels), requires_grad=True)
+
+    def __call__(self, x):
+        return depthwise_conv1d_causal(x, self.weight, self.bias)
+
+
+class VmBlockLayer(Module):
     """Residual sequence block: gated selective scan plus an MLP sub-block.
 
     Layout: LN -> (expand, depthwise causal conv, SiLU, scan) gated by a
@@ -150,19 +155,14 @@ class VmBlockLayer:
     identity and training perturbs it smoothly.
     """
 
-    def __init__(self, width, state_dim=8, expand=2, conv_width=4, mlp_ratio=2,
-                 rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, width, rng, state_dim=8, expand=2, conv_width=4, mlp_ratio=2):
         self.width = width
         inner = width * expand
         self.inner = inner
         self.ln1 = LayerNormLayer(width)
         self.in_proj = Linear(width, inner, rng=rng)
         self.gate_proj = Linear(width, inner, rng=rng)
-        self.conv_weight = Tensor(rng.normal(0.0, 1.0 / np.sqrt(conv_width),
-                                             (inner, conv_width)), requires_grad=True)
-        self.conv_bias = Tensor(np.zeros(inner), requires_grad=True)
+        self.conv = CausalConv1d(inner, conv_width, rng)
         self.ssm = SsmParams(inner, state_dim, rng)
         self.out_proj = Linear(inner, width, zero_init=True)
         self.ln2 = LayerNormLayer(width)
@@ -172,28 +172,11 @@ class VmBlockLayer:
         if x.ndim != 2 or x.shape[1] != self.width:
             raise ValueError(f"vmblock expects [seq, {self.width}], got {x.shape}")
         u = self.ln1(x)
-        main = depthwise_conv1d_causal(self.in_proj(u), self.conv_weight,
-                                       self.conv_bias).silu()
+        main = self.conv(self.in_proj(u)).silu()
         y = selective_scan(self.ssm.coeffs(main), main)
         y = y * self.gate_proj(u).silu()
         x = x + self.out_proj(y)
         return x + self.mlp(self.ln2(x))
-
-    def params(self):
-        out = []
-        for name, holder in (("ln1", self.ln1), ("in_proj", self.in_proj),
-                             ("gate_proj", self.gate_proj)):
-            out += [(f"{name}.{n}", t) for n, t in holder.params()]
-        out += [("conv.weight", self.conv_weight), ("conv.bias", self.conv_bias)]
-        out += [(f"ssm.{n}", t) for n, t in self.ssm.params()]
-        for name, holder in (("out_proj", self.out_proj), ("ln2", self.ln2),
-                             ("mlp", self.mlp)):
-            out += [(f"{name}.{n}", t) for n, t in holder.params()]
-        return out
-
-
-def vmblock_forward(layer, x):
-    return layer(x)
 
 
 def featuremap_to_sequence(f, order="row_major"):

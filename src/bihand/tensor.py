@@ -35,10 +35,6 @@ class no_grad:
         return False
 
 
-def grad_enabled():
-    return _grad_enabled
-
-
 def set_gradient_corruption(op_tag):
     """Test hook: scale the output gradient of nodes tagged ``op_tag`` by 1.5.
 
@@ -279,14 +275,6 @@ def reset_grads(root):
     for node in _toposort(root):
         node.grad = None
     root._backward_ran = False
-
-
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad=False):
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
 # -- elementwise primitives -------------------------------------------------

@@ -108,15 +108,18 @@ def loss_terms(pred, gt):
     }
 
 
-def loss(pred, gt, weights=None):
-    """Weighted sum of the nine L1 terms; differentiable scalar."""
-    weights = weights or LossWeights()
-    terms = loss_terms(pred, gt)
+def weighted_sum(terms, weights):
+    """Sum of the terms scaled by ``weights``, added in LOSS_TERMS order."""
     total = None
     for name in LOSS_TERMS:
         term = terms[name] * getattr(weights, name)
         total = term if total is None else total + term
     return total
+
+
+def loss(pred, gt, weights=None):
+    """Weighted sum of the nine L1 terms; differentiable scalar."""
+    return weighted_sum(loss_terms(pred, gt), weights or LossWeights())
 
 
 class Adam:
@@ -149,12 +152,6 @@ class Adam:
     def zero_grad(self):
         for _, p in self.named_params:
             p.grad = None
-
-
-def adam_step(state, named_params=None):
-    """Run one update on ``state`` (an Adam instance); returns the params."""
-    state.step()
-    return state.named_params
 
 
 def lr_schedule(epoch, base_lr=1e-4, milestones=(10, 15), factor=0.1):
@@ -325,13 +322,10 @@ def train_loop(net, dataset, epochs, batch_size, lr, weights=None,
             total = None
             term_values = {name: 0.0 for name in LOSS_TERMS}
             for sample in batch:
-                out = net.forward(Tensor(sample.image))
-                terms = loss_terms(out, sample)
-                sample_total = None
+                terms = loss_terms(net.forward(Tensor(sample.image)), sample)
                 for name in LOSS_TERMS:
-                    term = terms[name] * getattr(weights, name)
                     term_values[name] += float(terms[name].data) / len(batch)
-                    sample_total = term if sample_total is None else sample_total + term
+                sample_total = weighted_sum(terms, weights)
                 total = sample_total if total is None else total + sample_total
             total = total * (1.0 / len(batch))
             value = float(total.data)

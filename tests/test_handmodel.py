@@ -117,8 +117,7 @@ def test_fk_matches_matrix_chain_oracle(rig):
 
 
 def test_lbs_rest_pose_reproduces_template(rig):
-    params = hm.HandParams(theta=Tensor(np.zeros((16, 3))), beta=Tensor(np.zeros(10)))
-    out = hm.lbs(rig, params.theta, params.beta)
+    out = hm.lbs(rig, Tensor(np.zeros((16, 3))), Tensor(np.zeros(10)))
     assert np.max(np.abs(out.vertices.data - rig.template)) <= 1e-12
 
 
@@ -235,6 +234,21 @@ def test_rig_json_rejects_bad_weights(tmp_path, rig):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="weight rows must sum to 1"):
         hm.load_rig_json(path)
+
+
+def test_rig_json_rejects_pose_blendshapes(tmp_path, rig):
+    path = tmp_path / "rig.json"
+    hm.save_rig_json(rig, path)
+    import json
+    doc = json.loads(path.read_text())
+    assert "pose_blendshapes" not in doc
+    doc["pose_blendshapes"] = np.zeros((rig.num_vertices, 3, 135)).tolist()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="pose_blendshapes"):
+        hm.load_rig_json(path)
+    doc["pose_blendshapes"] = None  # an explicit null still loads
+    path.write_text(json.dumps(doc))
+    assert hm.load_rig_json(path).num_vertices == rig.num_vertices
 
 
 def test_rig_json_rejects_bad_tree(tmp_path, rig):

@@ -30,14 +30,14 @@ def conv_oracle(x, w, b, stride, pad):
 
 
 def test_conv1x1_identity():
-    layer = nn.Conv2dLayer(1, 1, 1)
+    layer = nn.Conv2dLayer(1, 1, 1, zero_init=True)
     layer.weight.data[:] = 1.0
     x = Tensor(np.arange(12.0).reshape(1, 3, 4))
     npt.assert_array_equal(layer(x).data, x.data)
 
 
 def test_conv1x1_channel_sum():
-    layer = nn.Conv2dLayer(2, 1, 1)
+    layer = nn.Conv2dLayer(2, 1, 1, zero_init=True)
     layer.weight.data[:] = 1.0
     x = Tensor(np.stack([np.full((2, 2), 3.0), np.full((2, 2), 4.0)]))
     npt.assert_array_equal(layer(x).data, np.full((1, 2, 2), 7.0))
@@ -49,7 +49,7 @@ def test_conv3x3_against_loop_oracle(stride, pad):
     x = rng.uniform(-2, 2, (3, 6, 5))
     w = rng.uniform(-1, 1, (4, 3, 3, 3))
     b = rng.uniform(-1, 1, 4)
-    layer = nn.Conv2dLayer(3, 4, 3, stride=stride, padding=pad)
+    layer = nn.Conv2dLayer(3, 4, 3, stride=stride, padding=pad, zero_init=True)
     layer.weight.data[:] = w
     layer.bias.data[:] = b
     got = layer(Tensor(x)).data
@@ -57,7 +57,7 @@ def test_conv3x3_against_loop_oracle(stride, pad):
 
 
 def test_conv_channel_mismatch():
-    layer = nn.Conv2dLayer(3, 4, 3)
+    layer = nn.Conv2dLayer(3, 4, 3, zero_init=True)
     with pytest.raises(ValueError, match="channel"):
         layer(Tensor(np.zeros((2, 5, 5))))
 
@@ -294,14 +294,14 @@ def test_non_local_gradients():
 
 
 def test_mlp_zero_weights_give_bias():
-    layer = nn.MlpLayer(3, ratio=2)
+    layer = nn.MlpLayer(3, ratio=2, rng=np.random.default_rng(0), zero_init_out=True)
     layer.fc2.bias.data[:] = [1.0, 2.0, 3.0]
     out = layer(Tensor(np.zeros((4, 3))))
     npt.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
 
 def test_mlp_identity_on_positive_input():
-    layer = nn.MlpLayer(3, ratio=1)
+    layer = nn.MlpLayer(3, ratio=1, rng=np.random.default_rng(0))
     layer.fc1.weight.data[:] = np.eye(3)
     layer.fc2.weight.data[:] = np.eye(3)
     x = np.array([[0.5, 1.0, 2.0]])
@@ -318,21 +318,56 @@ def test_mlp_gradients():
 
 
 def test_mlp_width_mismatch():
-    layer = nn.MlpLayer(4)
+    layer = nn.MlpLayer(4, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         layer(Tensor(np.zeros((2, 5))))
 
 
-def test_functional_wrappers_match_layer_calls():
-    rng = np.random.default_rng(97)
-    conv = nn.Conv2dLayer(2, 3, 1, rng=rng)
-    ln = nn.LayerNormLayer(4)
-    mlp_layer = nn.MlpLayer(4, rng=rng)
-    block = nn.NonLocalBlock(2, rng)
-    x_map = Tensor(rng.uniform(-1, 1, (2, 3, 3)))
-    x_row = Tensor(rng.uniform(-1, 1, (2, 4)))
-    assert np.array_equal(nn.conv2d(conv, x_map).data, conv(x_map).data)
-    assert np.array_equal(nn.layernorm(ln, x_row).data, ln(x_row).data)
-    assert np.array_equal(nn.mlp(mlp_layer, x_row).data, mlp_layer(x_row).data)
-    ctx = Tensor(rng.uniform(-1, 1, (2, 3, 3)))
-    assert np.array_equal(nn.non_local(block, x_map, ctx).data, block(x_map, ctx).data)
+def test_layers_require_rng_unless_zero_init():
+    with pytest.raises(ValueError, match="rng"):
+        nn.Linear(3, 2)
+    with pytest.raises(ValueError, match="rng"):
+        nn.Conv2dLayer(2, 3, 1)
+    with pytest.raises(ValueError, match="rng"):
+        nn.MlpLayer(4, zero_init_out=True)  # the hidden layer is never zero
+    assert not np.any(nn.Linear(3, 2, zero_init=True).weight.data)
+    assert not np.any(nn.Conv2dLayer(2, 3, 1, zero_init=True).weight.data)
+
+
+def test_spatial_layernorm_matches_per_channel_formula():
+    rng = np.random.default_rng(29)
+    layer = nn.LayerNormLayer(4, axes=(1, 2))
+    layer.gamma.data[:] = rng.uniform(0.5, 2, 4)
+    layer.beta.data[:] = rng.uniform(-1, 1, 4)
+    x = rng.uniform(-3, 3, (4, 5, 3))
+    centered = x - x.mean(axis=(1, 2), keepdims=True)
+    normed = centered / np.sqrt((centered ** 2).mean(axis=(1, 2), keepdims=True) + 1e-5)
+    want = normed * layer.gamma.data[:, None, None] + layer.beta.data[:, None, None]
+    assert np.max(np.abs(layer(Tensor(x)).data - want)) <= 1e-12
+
+
+def test_layernorm_rejects_bad_axes_and_shapes():
+    with pytest.raises(ValueError, match="axes"):
+        nn.LayerNormLayer(4, axes=(0,))
+    with pytest.raises(ValueError, match=r"\[4,h,w\]"):
+        nn.LayerNormLayer(4, axes=(1, 2))(Tensor(np.zeros((3, 2, 2))))
+    with pytest.raises(ValueError, match="trailing dim"):
+        nn.LayerNormLayer(4)(Tensor(np.zeros((2, 3))))
+
+
+class _Tree(nn.Module):
+    def __init__(self, rng):
+        self.width = 3                            # ints are not parameters
+        self.table = np.ones(3)                   # nor are plain arrays
+        self.scale = Tensor(np.ones(3), requires_grad=True)
+        self.blocks = [nn.Linear(3, 3, rng=rng), nn.LayerNormLayer(3)]
+        self.head_l = nn.Linear(3, 1, zero_init=True)
+        self.head_r = self.head_l                 # alias: registered once
+
+
+def test_module_registry_walks_declaration_order():
+    tree = _Tree(np.random.default_rng(3))
+    names = [n for n, _ in tree.params()]
+    assert names == ["scale", "block0.weight", "block0.bias", "block1.gamma",
+                     "block1.beta", "head_l.weight", "head_l.bias"]
+    assert tree.params()[-1][1] is tree.head_r.bias

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -431,6 +432,22 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     for (n1, t1), (n2, t2) in zip(net.params(), net2.params()):
         assert n1 == n2
         assert np.array_equal(t1.data, t2.data)
+
+
+# sha256 of the "name:shape" lines of the toy registry; a change here means
+# checkpoint record order or naming changed and CHECKPOINT_VERSION must move
+REGISTRY_SHA256 = {
+    True: "1ca72a91eeab806ae1dbf0cd398fcd7daf4c9740ece182e9d37ed0171d70b9fa",
+    False: "d04ca58b95042e63a07589e852ce49237177bd8a9458c349ca2896c64662f106",
+}
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_registry_names_and_shapes_are_pinned(share):
+    net = pl.BimanualHandNet(pl.PipelineConfig.toy(share_hand_heads=share))
+    lines = "\n".join(f"{name}:{tuple(t.shape)}" for name, t in net.params())
+    assert hashlib.sha256(lines.encode()).hexdigest() == REGISTRY_SHA256[share]
+    assert len(net.params()) == (138 if share else 156)
 
 
 def test_checkpoint_bad_magic(tmp_path):
