@@ -436,6 +436,17 @@ def cmd_count(args):
     return 0
 
 
+def _positive_int(text):
+    """argparse type for counts and loop bounds: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bihand",
@@ -451,10 +462,10 @@ def build_parser():
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit the toy profile on synthetic data")
-    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--epochs", type=_positive_int, default=500)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--samples", type=_positive_int, default=8)
+    p.add_argument("--batch-size", type=_positive_int, default=8)
     p.add_argument("--schedule", choices=("none", "step"), default="none")
     p.set_defaults(fn=cmd_train_toy)
 
@@ -465,7 +476,7 @@ def build_parser():
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset")
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=_positive_int, default=8)
     p.add_argument("--noise", type=float, default=0.0)
     p.set_defaults(fn=cmd_gen_data)
 

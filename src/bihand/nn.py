@@ -96,8 +96,8 @@ def conv2d_raw(x, weight, bias, stride=1, padding=0):
 
     out = graph_op(out_data, (x, weight, bias), "conv2d")
     if out._parents:
-        def bw():
-            g2 = out.grad.reshape(cout, oh * ow)
+        def bw(grad):
+            g2 = grad.reshape(cout, oh * ow)
             if bias.requires_grad:
                 _accum(bias, g2.sum(axis=1))
             if weight.requires_grad:
@@ -231,8 +231,8 @@ def grid_sample(f, points):
 
     out = graph_op(out_data, (f, points), "grid_sample")
     if out._parents:
-        def bw():
-            g = out.grad.T  # [c, J]
+        def bw(grad):
+            g = grad.T  # [c, J]
             if f.requires_grad:
                 df = np.zeros_like(f.data)
                 np.add.at(df, (slice(None), y0, x0), g * ((1 - fx) * (1 - fy)))

@@ -16,6 +16,7 @@ are plain JSON mirroring ``PipelineConfig``; unknown keys are rejected.
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -56,6 +57,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, so compare exact types
+            if type(value) is not f.type:
+                raise ValueError(f"config field {f.name} must be {f.type.__name__}, "
+                                 f"got {type(value).__name__} {value!r}")
         for name in ("image_h", "image_w", "backbone_channels", "backbone_stages",
                      "joints", "depth_bins", "vertices", "vm_ife_depth", "jvm_depth",
                      "state_dim", "expand", "conv_width", "mlp_ratio"):
@@ -470,33 +477,54 @@ def save_checkpoint(path, named_tensors):
 
 
 def load_checkpoint(path):
-    """Read records back as (name, float64 array) pairs, validating framing."""
+    """Read records back as (name, float64 array) pairs, validating framing.
+
+    Every read is bounds-checked: a short or inconsistent file raises
+    ValueError naming the record index and byte offset, and a record's
+    declared size is checked against the bytes left before it is allocated.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    offset = 0
+    where = "the header"
+
+    def take(n, what):
+        # advance past n bytes and return where they start
+        nonlocal offset
+        left = len(blob) - offset
+        if n > left:
+            raise ValueError(f"checkpoint truncated in {where} at byte {offset}: "
+                             f"{what} needs {n} bytes, {left} remain")
+        offset += n
+        return offset - n
+
+    def unpack(fmt, what):
+        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt), what))[0]
+
+    magic = blob[take(4, "magic"):offset]
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+    version = unpack("<I", "version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    (count,) = struct.unpack_from("<Q", blob, 8)
-    offset = 16
+    count = unpack("<Q", "record count")
     records = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = []
-        for _ in range(ndim):
-            (dim,) = struct.unpack_from("<Q", blob, offset)
-            shape.append(dim)
-            offset += 8
-        n = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
+    for index in range(count):
+        where = f"record {index}"
+        name_len = unpack("<I", "name length")
+        raw = blob[take(name_len, "name"):offset]
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"checkpoint record {index} at byte {offset - name_len}: "
+                             f"name is not UTF-8") from None
+        ndim = unpack("<I", "rank")
+        shape = struct.unpack_from(f"<{ndim}Q", blob, take(8 * ndim, f"a shape of rank {ndim}"))
+        n = math.prod(shape)
+        start = take(8 * n, f"shape {shape}")
+        data = np.frombuffer(blob, dtype="<f8", count=n, offset=start).reshape(shape)
         records.append((name, data.astype(np.float64)))
     if offset != len(blob):
-        raise ValueError("checkpoint has trailing bytes")
+        raise ValueError(f"checkpoint has {len(blob) - offset} trailing bytes after "
+                         f"its {count} records, at byte {offset}")
     return records

@@ -64,8 +64,7 @@ def selective_scan(coeffs, x):
 
     out = graph_op(y, (x, delta, a, b, c, d_skip), "scan")
     if out._parents:
-        def bw():
-            gy = out.grad
+        def bw(gy):
             gh = np.zeros((ch, state))
             dabar = np.empty_like(abar)
             dbinc = np.empty_like(abar)

@@ -12,6 +12,13 @@ operands are summed over the broadcast axes so ``grad`` always matches
 A graph supports exactly one ``backward()``; a second call raises unless
 ``reset_grads`` was invoked on the root first. Silent double accumulation is
 the classic correctness trap this guards against.
+
+Each gradient rule is a closure ``bw(grad)`` stored on its output as
+``_backward``; ``backward()`` calls it with the output's accumulated
+gradient. A rule may capture its inputs and arrays it computed, never its
+own output tensor. Edges then point only from outputs to inputs, so a graph
+has no reference cycle and is freed by reference counting as soon as its
+root goes out of scope.
 """
 
 import numpy as np
@@ -152,7 +159,7 @@ class Tensor:
                 node.grad = node.grad * 1.5
             if node.grad is None:
                 continue
-            fn()
+            fn(node.grad)
 
     # -- operator overloads ---------------------------------------------
 
@@ -240,7 +247,10 @@ def graph_op(data, parents, op_tag):
     """Create an op-output tensor; caller attaches ``out._backward`` after.
 
     Records ``parents`` only when gradient mode is on and at least one parent
-    takes gradients, so pure evaluation builds no graph.
+    takes gradients, so pure evaluation builds no graph. The rule attached as
+    ``out._backward`` receives the output gradient as its argument and must
+    not reference ``out``; values it needs from the output (``exp``,
+    ``sqrt``) are captured as the computed array instead.
     """
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -283,8 +293,7 @@ def add(a, b):
     a, b = _lift(a), _lift(b)
     out = graph_op(np.add(a.data, b.data), (a, b), "add")
     if out._parents:
-        def bw():
-            g = out.grad
+        def bw(g):
             if a.requires_grad:
                 _accum(a, _unbroadcast(g, a.data.shape))
             if b.requires_grad:
@@ -297,8 +306,7 @@ def sub(a, b):
     a, b = _lift(a), _lift(b)
     out = graph_op(np.subtract(a.data, b.data), (a, b), "sub")
     if out._parents:
-        def bw():
-            g = out.grad
+        def bw(g):
             if a.requires_grad:
                 _accum(a, _unbroadcast(g, a.data.shape))
             if b.requires_grad:
@@ -311,8 +319,7 @@ def mul(a, b):
     a, b = _lift(a), _lift(b)
     out = graph_op(np.multiply(a.data, b.data), (a, b), "mul")
     if out._parents:
-        def bw():
-            g = out.grad
+        def bw(g):
             if a.requires_grad:
                 _accum(a, _unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
@@ -325,8 +332,7 @@ def div(a, b):
     a, b = _lift(a), _lift(b)
     out = graph_op(np.divide(a.data, b.data), (a, b), "div")
     if out._parents:
-        def bw():
-            g = out.grad
+        def bw(g):
             if a.requires_grad:
                 _accum(a, _unbroadcast(g / b.data, a.data.shape))
             if b.requires_grad:
@@ -338,17 +344,18 @@ def div(a, b):
 def neg(a):
     out = graph_op(np.negative(a.data), (a,), "neg")
     if out._parents:
-        def bw():
-            _accum(a, -out.grad)
+        def bw(grad):
+            _accum(a, -grad)
         out._backward = bw
     return out
 
 
 def exp(a):
-    out = graph_op(np.exp(a.data), (a,), "exp")
+    y = np.exp(a.data)
+    out = graph_op(y, (a,), "exp")
     if out._parents:
-        def bw():
-            _accum(a, out.grad * out.data)
+        def bw(grad):
+            _accum(a, grad * y)
         out._backward = bw
     return out
 
@@ -356,17 +363,18 @@ def exp(a):
 def log(a):
     out = graph_op(np.log(a.data), (a,), "log")
     if out._parents:
-        def bw():
-            _accum(a, out.grad / a.data)
+        def bw(grad):
+            _accum(a, grad / a.data)
         out._backward = bw
     return out
 
 
 def sqrt(a):
-    out = graph_op(np.sqrt(a.data), (a,), "sqrt")
+    y = np.sqrt(a.data)
+    out = graph_op(y, (a,), "sqrt")
     if out._parents:
-        def bw():
-            _accum(a, out.grad * 0.5 / out.data)
+        def bw(grad):
+            _accum(a, grad * 0.5 / y)
         out._backward = bw
     return out
 
@@ -374,8 +382,8 @@ def sqrt(a):
 def sin(a):
     out = graph_op(np.sin(a.data), (a,), "sin")
     if out._parents:
-        def bw():
-            _accum(a, out.grad * np.cos(a.data))
+        def bw(grad):
+            _accum(a, grad * np.cos(a.data))
         out._backward = bw
     return out
 
@@ -383,8 +391,8 @@ def sin(a):
 def cos(a):
     out = graph_op(np.cos(a.data), (a,), "cos")
     if out._parents:
-        def bw():
-            _accum(a, -out.grad * np.sin(a.data))
+        def bw(grad):
+            _accum(a, -grad * np.sin(a.data))
         out._backward = bw
     return out
 
@@ -392,8 +400,8 @@ def cos(a):
 def relu(a):
     out = graph_op(np.maximum(a.data, 0.0), (a,), "relu")
     if out._parents:
-        def bw():
-            _accum(a, out.grad * (a.data > 0.0))
+        def bw(grad):
+            _accum(a, grad * (a.data > 0.0))
         out._backward = bw
     return out
 
@@ -403,8 +411,8 @@ def silu(a):
     s = _sigmoid(a.data)
     out = graph_op(a.data * s, (a,), "silu")
     if out._parents:
-        def bw():
-            _accum(a, out.grad * (s * (1.0 + a.data * (1.0 - s))))
+        def bw(grad):
+            _accum(a, grad * (s * (1.0 + a.data * (1.0 - s))))
         out._backward = bw
     return out
 
@@ -412,8 +420,8 @@ def silu(a):
 def softplus(a):
     out = graph_op(np.logaddexp(0.0, a.data), (a,), "softplus")
     if out._parents:
-        def bw():
-            _accum(a, out.grad * _sigmoid(a.data))
+        def bw(grad):
+            _accum(a, grad * _sigmoid(a.data))
         out._backward = bw
     return out
 
@@ -443,8 +451,7 @@ def matmul(a, b):
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     out = graph_op(a.data @ b.data, (a, b), "matmul")
     if out._parents:
-        def bw():
-            g = out.grad
+        def bw(g):
             if a.requires_grad:
                 _accum(a, g @ b.data.T)
             if b.requires_grad:
@@ -459,8 +466,7 @@ def bmm(a, b):
         raise ValueError(f"bmm expects [n,p,q]@[n,q,r], got {a.shape} and {b.shape}")
     out = graph_op(a.data @ b.data, (a, b), "bmm")
     if out._parents:
-        def bw():
-            g = out.grad
+        def bw(g):
             if a.requires_grad:
                 _accum(a, g @ b.data.swapaxes(-1, -2))
             if b.requires_grad:
@@ -499,8 +505,8 @@ def reduce_sum(t, axis=None, keepdims=False):
     out = graph_op(out_data, (t,), "sum")
     if out._parents:
         kshape = _keepdims_shape(t.data.shape, axes)
-        def bw():
-            g = out.grad.reshape(kshape)
+        def bw(grad):
+            g = grad.reshape(kshape)
             _accum(t, np.broadcast_to(g, t.data.shape).copy())
         out._backward = bw
     return out
@@ -516,8 +522,8 @@ def reduce_mean(t, axis=None, keepdims=False):
     out = graph_op(out_data, (t,), "mean")
     if out._parents:
         kshape = _keepdims_shape(t.data.shape, axes)
-        def bw():
-            g = out.grad.reshape(kshape) / count
+        def bw(grad):
+            g = grad.reshape(kshape) / count
             _accum(t, np.broadcast_to(g, t.data.shape).copy())
         out._backward = bw
     return out
@@ -536,8 +542,8 @@ def reduce_max(t, axis=None, keepdims=False):
     if out._parents:
         kept = tuple(i for i in range(t.ndim) if i not in axes)
         kshape = _keepdims_shape(t.data.shape, axes)
-        def bw():
-            g = out.grad.reshape([t.data.shape[i] for i in kept] or [1])
+        def bw(grad):
+            g = grad.reshape([t.data.shape[i] for i in kept] or [1])
             moved = np.moveaxis(t.data, axes, range(len(kept), t.ndim))
             kept_shape = moved.shape[:len(kept)]
             flat = moved.reshape(kept_shape + (-1,))
@@ -568,8 +574,8 @@ def reduce(op, t, axis=None, keepdims=False):
 def reshape(t, shape):
     out = graph_op(_contig(t.data.reshape(shape)), (t,), "reshape")
     if out._parents:
-        def bw():
-            _accum(t, out.grad.reshape(t.data.shape))
+        def bw(grad):
+            _accum(t, grad.reshape(t.data.shape))
         out._backward = bw
     return out
 
@@ -581,8 +587,8 @@ def transpose(t, axes=None):
     out = graph_op(_contig(np.transpose(t.data, axes)), (t,), "transpose")
     if out._parents:
         inv = np.argsort(axes)
-        def bw():
-            _accum(t, _contig(np.transpose(out.grad, inv)))
+        def bw(grad):
+            _accum(t, _contig(np.transpose(grad, inv)))
         out._backward = bw
     return out
 
@@ -590,9 +596,9 @@ def transpose(t, axes=None):
 def getitem(t, key):
     out = graph_op(_contig(t.data[key]), (t,), "getitem")
     if out._parents:
-        def bw():
+        def bw(grad):
             buf = np.zeros_like(t.data)
-            np.add.at(buf, key, out.grad)
+            np.add.at(buf, key, grad)
             _accum(t, buf)
         out._backward = bw
     return out
@@ -604,13 +610,13 @@ def concat(tensors, axis=0):
                    tuple(tensors), "concat")
     if out._parents:
         sizes = [t.data.shape[axis] for t in tensors]
-        def bw():
+        def bw(grad):
             offset = 0
             for t, n in zip(tensors, sizes):
                 if t.requires_grad:
-                    sl = [slice(None)] * out.ndim
+                    sl = [slice(None)] * grad.ndim
                     sl[axis] = slice(offset, offset + n)
-                    _accum(t, _contig(out.grad[tuple(sl)]))
+                    _accum(t, _contig(grad[tuple(sl)]))
                 offset += n
         out._backward = bw
     return out
@@ -621,10 +627,10 @@ def stack(tensors, axis=0):
     out = graph_op(np.stack([t.data for t in tensors], axis=axis),
                    tuple(tensors), "stack")
     if out._parents:
-        def bw():
+        def bw(grad):
             for i, t in enumerate(tensors):
                 if t.requires_grad:
-                    _accum(t, _contig(np.take(out.grad, i, axis=axis)))
+                    _accum(t, _contig(np.take(grad, i, axis=axis)))
         out._backward = bw
     return out
 
@@ -635,7 +641,7 @@ def pad(t, pads):
     out = graph_op(np.pad(t.data, pads), (t,), "pad")
     if out._parents:
         core = tuple(slice(b, b + n) for (b, _), n in zip(pads, t.data.shape))
-        def bw():
-            _accum(t, _contig(out.grad[core]))
+        def bw(grad):
+            _accum(t, _contig(grad[core]))
         out._backward = bw
     return out

@@ -310,6 +310,11 @@ def train_loop(net, dataset, epochs, batch_size, lr, weights=None,
     non-finite. Per-sample losses are averaged inside one graph so gradient
     accumulation is merged in sample order.
     """
+    if epochs < 1 or batch_size < 1:
+        raise ValueError(f"train_loop needs epochs >= 1 and batch_size >= 1, "
+                         f"got epochs={epochs}, batch_size={batch_size}")
+    if not dataset:
+        raise ValueError("train_loop needs at least one sample")
     weights = weights or LossWeights()
     opt = Adam(net.params(), lr=lr)
     result = TrainResult()

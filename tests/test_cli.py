@@ -83,6 +83,17 @@ def test_eval_corrupted_magic(trained, tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def test_eval_truncated_checkpoint_is_named_error(trained, tmp_path, capsys):
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((trained / "model.ckpt").read_bytes()[:10])
+    code = run(["--out", str(tmp_path / "o"), "--seed", "3", "eval",
+                "--checkpoint", str(cut), "--data", str(trained / "dataset.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "truncated in the header at byte 8" in err
+    assert "Traceback" not in err
+
+
 def test_eval_mismatched_checkpoint_names_record(trained, tmp_path, capsys):
     cfg_path = tmp_path / "other.json"
     save_config_json(PipelineConfig.toy(vm_ife_depth=1), cfg_path)
@@ -158,3 +169,16 @@ def test_missing_required_flag_exit_2(capsys):
 
 def test_missing_config_file_exit_2(capsys):
     assert run(["--config", "/nonexistent/cfg.json", "count"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-toy", "--epochs", "0"],
+    ["train-toy", "--batch-size", "0"],
+    ["train-toy", "--samples", "-1"],
+    ["train-toy", "--epochs", "two"],
+    ["gen-data", "--samples", "0"],
+])
+def test_non_positive_loop_bounds_exit_2(argv, tmp_path, capsys):
+    assert run(["--out", str(tmp_path / "o")] + argv) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

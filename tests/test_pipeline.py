@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -417,6 +418,27 @@ def test_config_validation():
         pl.PipelineConfig(scan_order="spiral")
 
 
+@pytest.mark.parametrize("field, value, expected", [
+    ("image_h", "64", "int"),
+    ("backbone_channels", 64.0, "int"),
+    ("joints", True, "int"),
+    ("seed", None, "int"),
+    ("scan_order", 1, "str"),
+    ("hand_model", None, "str"),
+    ("share_hand_heads", 1, "bool"),
+])
+def test_config_rejects_wrong_field_types(field, value, expected):
+    with pytest.raises(ValueError, match=f"config field {field} must be {expected}, "):
+        pl.PipelineConfig(**{field: value})
+
+
+def test_config_json_with_string_int_is_named_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"image_h": "64"}')
+    with pytest.raises(ValueError, match="image_h must be int, got str '64'"):
+        pl.load_config_json(path)
+
+
 def test_checkpoint_roundtrip_byte_identical(tmp_path):
     cfg = small_config()
     net = pl.BimanualHandNet(cfg)
@@ -454,6 +476,56 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
+        pl.load_checkpoint(path)
+
+
+def tiny_checkpoint_bytes(tmp_path):
+    # the acceptance suite's criterion-7 model
+    cfg = pl.PipelineConfig(image_h=16, image_w=16, backbone_channels=8, joints=5,
+                            depth_bins=4, vertices=244, vm_ife_depth=1, jvm_depth=1,
+                            state_dim=3, expand=2, conv_width=2, mlp_ratio=1, seed=8)
+    path = tmp_path / "tiny.ckpt"
+    pl.BimanualHandNet(cfg).save_checkpoint(path)
+    return path.read_bytes()
+
+
+def test_checkpoint_every_truncation_prefix_is_a_named_error(tmp_path):
+    blob = tiny_checkpoint_bytes(tmp_path)
+    path = tmp_path / "cut.ckpt"
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        try:
+            pl.load_checkpoint(path)
+        except ValueError as exc:
+            msg = str(exc)
+            assert "truncated" in msg and " at byte " in msg, (n, msg)
+            if n >= 16:
+                assert "in record " in msg, (n, msg)
+        else:
+            raise AssertionError(f"prefix of {n} bytes loaded")
+
+
+def test_checkpoint_huge_declared_record_is_rejected(tmp_path):
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(pl.CHECKPOINT_MAGIC
+                     + struct.pack("<IQ", pl.CHECKPOINT_VERSION, 1)
+                     + struct.pack("<I", 1) + b"w"
+                     + struct.pack("<IQQ", 2, 2 ** 40, 2 ** 40)
+                     + b"\x00" * 64)
+    with pytest.raises(ValueError, match=r"in record 0 at byte 41: shape \(1099511627776, "
+                                         r"1099511627776\) needs 9671406556917033397649408 bytes"):
+        pl.load_checkpoint(path)
+
+
+def test_checkpoint_bad_name_and_trailing_bytes_name_their_place(tmp_path):
+    blob = tiny_checkpoint_bytes(tmp_path)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(ValueError, match=f"1 trailing bytes after its 90 records, "
+                                         f"at byte {len(blob)}"):
+        pl.load_checkpoint(path)
+    path.write_bytes(blob[:20] + b"\xff" + blob[21:])
+    with pytest.raises(ValueError, match="record 0 at byte 20: name is not UTF-8"):
         pl.load_checkpoint(path)
 
 

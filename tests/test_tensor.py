@@ -1,9 +1,13 @@
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from bihand import tensor as T
+from bihand import train as tr
 from bihand.gradcheck import fd_check, rel_error
+from bihand.pipeline import BimanualHandNet, PipelineConfig
 
 
 def matmul_oracle(a, b):
@@ -236,6 +240,32 @@ def test_no_grad_builds_no_graph():
     assert y._parents == ()
     y.backward()  # legal but reaches no leaves
     assert x.grad is None
+
+
+def _closes_over(fn, obj):
+    return any(cell.cell_contents is obj for cell in fn.__closure__ or ())
+
+
+def test_toy_graph_is_freed_by_reference_counting():
+    # a gradient rule receives its output gradient as an argument, so no
+    # rule references its own output and a graph forms no reference cycle
+    net = BimanualHandNet(PipelineConfig.toy(seed=0))
+    sample = tr.synth_dataset(net.config, net.rig, 1, seed=3)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        pred = net.forward(T.Tensor(sample.image))
+        root = tr.loss(pred, sample)
+        root.backward()
+        nodes = T._toposort(root)
+        assert len(nodes) > 1000
+        captured = [n._op for n in nodes
+                    if n._backward is not None and _closes_over(n._backward, n)]
+        assert captured == []
+        del nodes, root, pred
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_gradient_corruption_hook_is_detected():

@@ -314,6 +314,19 @@ def test_train_aborts_on_non_finite_loss():
         tr.train_loop(net, data, epochs=1, batch_size=2, lr=1e-3)
 
 
+@pytest.mark.parametrize("epochs, batch_size, n, match", [
+    (0, 2, 2, "epochs=0"),
+    (1, 0, 2, "batch_size=0"),
+    (1, 2, 0, "at least one sample"),
+])
+def test_train_loop_rejects_bad_loop_bounds(epochs, batch_size, n, match):
+    cfg = train_config(seed=6)
+    net = BimanualHandNet(cfg)
+    data = tr.synth_dataset(cfg, net.rig, 2, seed=1)[:n]
+    with pytest.raises(ValueError, match=match):
+        tr.train_loop(net, data, epochs=epochs, batch_size=batch_size, lr=1e-3)
+
+
 def test_param_counter_matches_checkpoint_enumeration(tmp_path):
     from bihand.pipeline import load_checkpoint
     for cfg in (small_config(), small_config(joints=6, share_hand_heads=False)):
