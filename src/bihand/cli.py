@@ -17,7 +17,8 @@ from .nn import (Conv2dLayer, LayerNormLayer, MlpLayer, NonLocalBlock,
                  grid_sample, softmax)
 from .pipeline import (BimanualHandNet, PipelineConfig, load_checkpoint,
                        load_config_json, save_checkpoint, soft_argmax)
-from .tensor import Tensor, elementwise, reduce, set_gradient_corruption
+from .tensor import (Tensor, add, exp, log, mul, reduce_max, reduce_mean, reduce_sum,
+                     set_gradient_corruption, silu, softplus, sub)
 
 OP_TOLERANCE = 1e-6
 END_TO_END_TOLERANCE = 1e-5
@@ -39,9 +40,8 @@ def _check_elementwise():
     b = Tensor(rng.uniform(0.2, 2, (3, 4)), requires_grad=True)
 
     def run():
-        h = elementwise("mul", elementwise("silu", a), elementwise("softplus", b))
-        h = elementwise("add", h, elementwise("log", b))
-        return elementwise("sub", h, elementwise("exp", a * 0.3)).sum()
+        h = add(mul(silu(a), softplus(b)), log(b))
+        return sub(h, exp(a * 0.3)).sum()
 
     return fd_check(run, [a, b])
 
@@ -52,8 +52,8 @@ def _check_reduce():
     w = Tensor(rng.uniform(-1, 1, 3))
 
     def run():
-        return (reduce("mean", x, 1) * w).sum() + (reduce("max", x, 1) * w).sum() \
-            + reduce("sum", x).sum() * 0.1
+        return (reduce_mean(x, 1) * w).sum() + (reduce_max(x, 1) * w).sum() \
+            + reduce_sum(x).sum() * 0.1
 
     return fd_check(run, [x])
 
@@ -282,17 +282,25 @@ def save_dataset(path, samples):
 
 
 def load_dataset(path):
+    """Samples of a dataset file; a malformed or non-finite record is a named error."""
     records = dict(load_checkpoint(path))
     if "meta/count" not in records:
         raise ValueError("dataset file is missing its sample count record")
-    n = int(records["meta/count"])
+    count = records["meta/count"]
+    if count.shape != ():
+        raise ValueError(f"dataset record 'meta/count' must be a scalar, got shape {count.shape}")
+    n = float(count)
+    if not (n >= 0 and n.is_integer()):
+        raise ValueError(f"dataset record 'meta/count' must be a non-negative integer, got {n}")
     samples = []
-    for i in range(n):
+    for i in range(int(n)):
         kwargs = {}
         for fname in _SAMPLE_FIELDS:
             key = f"s{i:05d}/{fname}"
             if key not in records:
                 raise ValueError(f"dataset file is missing record {key!r}")
+            if not np.all(np.isfinite(records[key])):
+                raise ValueError(f"dataset record {key!r} holds a non-finite value")
             kwargs[fname] = records[key]
         samples.append(tr.TrainingSample(**kwargs))
     return samples

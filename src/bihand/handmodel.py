@@ -11,11 +11,12 @@ a 21-row joint regressor (16 tree joints plus 5 fingertips) for evaluation.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, bmm, matmul, reshape, stack, transpose
+from .tensor import Tensor, bmm, concat, matmul, reshape, stack
 
 SMALL_ANGLE = 1e-8
 NUM_JOINTS = 16
@@ -69,53 +70,67 @@ class HandOutput:
     joints: Tensor    # [21,3] mm, regressor @ vertices
 
 
-@dataclass
-class FkResult:
-    """World and relative-to-rest transforms per joint, as graph tensors.
-
-    A relative transform shares its rotation with the world transform, so
-    skinning applies (world_rot[k], rel_pos[k]).
-    """
-    world_rot: list   # 16 x Tensor[3,3]
-    world_pos: list   # 16 x Tensor[3]
-    rel_pos: list     # 16 x Tensor[3]
-
-    def rel_mats(self):
-        """Detached [16,4,4] relative transforms applied by skinning."""
-        out = np.tile(np.eye(4), (NUM_JOINTS, 1, 1))
-        for i, (r, p) in enumerate(zip(self.world_rot, self.rel_pos)):
-            out[i, :3, :3] = r.data
-            out[i, :3, 3] = p.data
-        return out
-
-
 class HandRig:
-    """Immutable rig: template mesh, joint tree, weights, blendshapes, regressor."""
+    """Immutable rig: template mesh, joint tree, weights, blendshapes, regressor.
+
+    Joints are grouped by tree depth once. ``levels`` holds, per depth from
+    1, the joints there and the row of each one's parent in the level above;
+    ``joint_rows[k]`` is joint k's row in the root and levels stacked.
+    """
 
     def __init__(self, template, faces, parents, rest_joints, weights,
                  blendshapes, regressor):
-        self.template = np.ascontiguousarray(template, dtype=np.float64)
-        self.faces = [tuple(int(i) for i in f) for f in faces]
-        self.parents = [int(p) for p in parents]
-        self.rest_joints = np.ascontiguousarray(rest_joints, dtype=np.float64)
-        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
-        self.blendshapes = np.ascontiguousarray(blendshapes, dtype=np.float64)
-        self.regressor = np.ascontiguousarray(regressor, dtype=np.float64)
-        self.offsets = self.rest_joints.copy()
-        for k in range(1, NUM_JOINTS):
-            self.offsets[k] = self.rest_joints[k] - self.rest_joints[self.parents[k]]
+        self.template = _float_field(template, "template")
+        if not isinstance(faces, (list, tuple)):
+            raise ValueError("rig field 'faces' must be a list of vertex index triples")
+        self.faces = [tuple(_indices(f, "faces")) for f in faces]
+        self.parents = _indices(parents, "parents")
+        self.rest_joints = _float_field(rest_joints, "rest_joints")
+        self.weights = _float_field(weights, "weights")
+        self.blendshapes = _float_field(blendshapes, "blendshapes")
+        self.regressor = _float_field(regressor, "regressor")
         validate_rig(self)
+        parents = np.array(self.parents)
+        self.offsets = self.rest_joints.copy()
+        self.offsets[1:] -= self.rest_joints[parents[1:]]
+        depth = np.zeros(NUM_JOINTS, dtype=int)
+        for k in range(1, NUM_JOINTS):
+            depth[k] = depth[parents[k]] + 1
+        self.levels = []
+        above = np.array([0])
+        for d in range(1, depth.max() + 1):
+            joints = np.flatnonzero(depth == d)
+            self.levels.append((joints, np.searchsorted(above, parents[joints])))
+            above = joints
+        self.joint_rows = np.argsort(np.concatenate([[0]] + [j for j, _ in self.levels]))
 
     @property
     def num_vertices(self):
         return self.template.shape[0]
 
 
+def _float_field(value, field):
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"rig field {field!r} is not a numeric array") from None
+
+
+def _indices(values, field):
+    if not isinstance(values, (list, tuple)) or not all(
+            isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in values):
+        raise ValueError(f"rig field {field!r} must be a list of integer indices")
+    return [int(i) for i in values]
+
+
 def validate_rig(rig):
     """Check every structural invariant; raise naming the one that fails."""
-    v = rig.template.shape[0]
+    for field in ("template", "rest_joints", "weights", "blendshapes", "regressor"):
+        if not np.all(np.isfinite(getattr(rig, field))):
+            raise ValueError(f"rig invariant violated: {field} holds a non-finite value")
     if rig.template.ndim != 2 or rig.template.shape[1] != 3:
         raise ValueError(f"rig invariant violated: template must be [V,3], got {rig.template.shape}")
+    v = rig.template.shape[0]
     if len(rig.parents) != NUM_JOINTS:
         raise ValueError(f"rig invariant violated: expected {NUM_JOINTS} joints, got {len(rig.parents)}")
     if rig.parents[0] != -1:
@@ -148,31 +163,25 @@ def validate_rig(rig):
 
 
 def forward_kinematics(rig, theta):
-    """World transforms for theta[16,3] plus the relative transforms skinning uses.
+    """World rotations [16,3,3] and positions [16,3] for theta[16,3], in joint order.
 
     The root rotates in place at its rest position; each child composes its
     parent's world transform with a fixed offset and its own local rotation.
-    Relative transforms are world relative to rest pose, computed directly as
-    (R_world, t_world - R_world @ rest) so no matrix inverse is involved and
-    theta = 0 yields exact identities.
+    One tree level is composed per step, gathering the parent rows from the
+    level above.
     """
     local = rodrigues_batch(theta)
-    world_rot, world_pos, rel_pos = [], [], []
-    for k in range(NUM_JOINTS):
-        rk = local[k]
-        rest_k = Tensor(rig.rest_joints[k])
-        if k == 0:
-            rw = rk
-            tw = rest_k
-        else:
-            p = rig.parents[k]
-            rw = matmul(world_rot[p], rk)
-            tw = world_pos[p] + reshape(
-                matmul(world_rot[p], reshape(Tensor(rig.offsets[k]), (3, 1))), (3,))
-        world_rot.append(rw)
-        world_pos.append(tw)
-        rel_pos.append(tw - reshape(matmul(rw, reshape(rest_k, (3, 1))), (3,)))
-    return FkResult(world_rot, world_pos, rel_pos)
+    rot = local[:1]
+    pos = Tensor(rig.rest_joints[:1])
+    rots, poss = [rot], [pos]
+    for joints, up in rig.levels:
+        parent_rot = rot[up]
+        offsets = Tensor(rig.offsets[joints][:, :, None])
+        pos = pos[up] + reshape(bmm(parent_rot, offsets), (len(joints), 3))
+        rot = bmm(parent_rot, local[joints])
+        rots.append(rot)
+        poss.append(pos)
+    return concat(rots)[rig.joint_rows], concat(poss)[rig.joint_rows]
 
 
 def shaped_template(rig, beta):
@@ -184,15 +193,21 @@ def shaped_template(rig, beta):
 
 
 def lbs(rig, theta, beta):
-    """Pose and shape the rig: skin the shaped template with the relative
-    joint transforms, then regress the 21 evaluation joints."""
+    """Pose and shape the rig, then regress the 21 evaluation joints.
+
+    Each joint's transform relative to the rest pose is [R | pos - R rest],
+    computed without a matrix inverse so theta = 0 yields exact identities.
+    The skinning weights blend these [3,4] transforms per vertex, and each
+    blended transform is applied once to its homogeneous shaped vertex.
+    """
+    v = rig.num_vertices
     base = shaped_template(rig, beta)
-    fk = forward_kinematics(rig, theta)
-    posed = []
-    for k in range(NUM_JOINTS):
-        posed.append(matmul(base, transpose(fk.world_rot[k])) + fk.rel_pos[k])
-    weights = Tensor(rig.weights.T[:, :, None])  # [16, V, 1]
-    vertices = (stack(posed, axis=0) * weights).sum(axis=0)
+    rot, pos = forward_kinematics(rig, theta)
+    rest = reshape(bmm(rot, Tensor(rig.rest_joints[:, :, None])), (NUM_JOINTS, 3))
+    rel = concat([rot, reshape(pos - rest, (NUM_JOINTS, 3, 1))], axis=2)
+    blend = reshape(matmul(Tensor(rig.weights), reshape(rel, (NUM_JOINTS, 12))), (v, 3, 4))
+    hom = reshape(concat([base, Tensor(np.ones((v, 1)))], axis=1), (v, 4, 1))
+    vertices = reshape(bmm(blend, hom), (v, 3))
     joints = matmul(Tensor(rig.regressor), vertices)
     return HandOutput(vertices=vertices, joints=joints)
 
@@ -342,6 +357,8 @@ def load_rig_json(path):
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"rig file must hold a JSON object, got {type(doc).__name__}")
     required = ("template", "faces", "parents", "rest_joints", "weights",
                 "blendshapes", "regressor")
     for key in required:

@@ -426,22 +426,6 @@ def softplus(a):
     return out
 
 
-_ELEMENTWISE = {
-    "add": add, "sub": sub, "mul": mul, "div": div, "neg": neg,
-    "exp": exp, "log": log, "sqrt": sqrt, "sin": sin, "cos": cos,
-    "relu": relu, "silu": silu, "softplus": softplus,
-}
-
-
-def elementwise(op, *args):
-    """Dispatch an elementwise op by name (used by the gradient-check CLI)."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(*args)
-
-
 # -- matrix products ---------------------------------------------------------
 
 def matmul(a, b):
@@ -555,18 +539,6 @@ def reduce_max(t, axis=None, keepdims=False):
             _accum(t, np.moveaxis(buf, range(len(kept), t.ndim), axes))
         out._backward = bw
     return out
-
-
-_REDUCTIONS = {"sum": reduce_sum, "mean": reduce_mean, "max": reduce_max}
-
-
-def reduce(op, t, axis=None, keepdims=False):
-    """Dispatch a reduction by name (used by the gradient-check CLI)."""
-    try:
-        fn = _REDUCTIONS[op]
-    except KeyError:
-        raise ValueError(f"unknown reduction {op!r}") from None
-    return fn(t, axis, keepdims)
 
 
 # -- movement -----------------------------------------------------------------

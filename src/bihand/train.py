@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import handmodel
+from .pipeline import BimanualHandNet
 from .ssm import scan_flops
 from .tensor import Tensor, no_grad
 
@@ -366,62 +367,9 @@ def write_metrics_csv(path, split_name, metrics):
 
 # -- work accounting -----------------------------------------------------------------
 
-def _conv_params(cin, cout, k):
-    return cout * cin * k * k + cout
-
-
-def _linear_params(cin, cout):
-    return cin * cout + cout
-
-
-def _vmblock_params(width, state_dim, expand, conv_width, mlp_ratio):
-    inner = width * expand
-    total = 2 * width                                   # ln1
-    total += 2 * _linear_params(width, inner)           # in_proj, gate_proj
-    total += inner * conv_width + inner                 # depthwise conv
-    total += inner * state_dim + inner                  # a_log, d_skip
-    total += _linear_params(inner, inner)               # dt_proj
-    total += 2 * _linear_params(inner, state_dim)       # b_proj, c_proj
-    total += _linear_params(inner, width)               # out_proj
-    total += 2 * width                                  # ln2
-    hidden = int(round(width * mlp_ratio))
-    total += _linear_params(width, hidden) + _linear_params(hidden, width)
-    return total
-
-
 def count_params(config):
-    """Analytic parameter count; must equal the registry enumeration exactly."""
-    c = config.hand_channels
-    stages = [config.backbone_channels >> (config.backbone_stages - 1 - i)
-              for i in range(config.backbone_stages)]
-    total = 0
-    cin = 3
-    for cout in stages:
-        total += _conv_params(cin, cout, 3) + 2 * cout  # conv + spatial norm
-        cin = cout
-    total += 2 * (_conv_params(cin, c, 1) + 2 * c)      # two branch heads
-
-    total += _conv_params(2 * c, 2 * c, 1)              # interaction initial conv
-    total += config.vm_ife_depth * _vmblock_params(
-        2 * c, config.state_dim, config.expand, config.conv_width, config.mlp_ratio)
-    inner = max(1, c // 2)
-    nl = (_conv_params(c, inner, 1) * 3 + _conv_params(inner, c, 1))
-    fuse = _conv_params(2 * c, c, 1)
-    total += (1 if config.share_hand_heads else 2) * (nl + fuse)
-
-    extractor = (_conv_params(c, config.joints, 1)
-                 + _conv_params(c, config.joints * config.depth_bins, 1))
-    total += (1 if config.share_hand_heads else 2) * extractor
-
-    total += config.jvm_depth * _vmblock_params(
-        c, config.state_dim, config.expand, config.conv_width, config.mlp_ratio)
-
-    theta_dim = handmodel.NUM_JOINTS * 3
-    heads = (_linear_params(config.joints * (c + 3), theta_dim)
-             + _linear_params(c, handmodel.NUM_SHAPES))
-    total += (1 if config.share_hand_heads else 2) * heads
-    total += _linear_params(2 * c, 3)                   # relative translation
-    return total
+    """Parameter count of the network ``config`` builds, read from its registry."""
+    return sum(t.size for _, t in BimanualHandNet(config).params())
 
 
 def _conv_flops(cin, cout, k, oh, ow):
@@ -496,13 +444,15 @@ def count_flops(config):
                   + _linear_flops(c, handmodel.NUM_SHAPES) + 2 * config.joints * c)
     total += _linear_flops(2 * c, 3) + 2 * 2 * c * n
 
-    # hand rig: 16 rodrigues + chain + skinning per hand
+    # hand rig per hand: 16 rodrigues, level-wise kinematics over the 15 child
+    # joints, one blend of the 16 relative [3,4] transforms, one apply
     v = config.vertices
     per_hand = (16 * 60                       # rodrigues assembly
-                + 16 * (2 * 27 + 2 * 9 + 6)   # kinematic chain matmuls
+                + 15 * (2 * 27 + 2 * 9 + 3)   # child rotation and offset bmm, add
+                + 16 * (2 * 9 + 3)            # relative translation pos - R rest
                 + 2 * v * 10 * 3              # blendshapes
-                + 16 * (2 * 9 * v + 3 * v)    # per-joint vertex transform
-                + 16 * v * 3 * 2              # weighted sum
+                + 2 * v * 16 * 12             # weights[V,16] @ transforms[16,12]
+                + 2 * v * 12                  # blended [3,4] @ homogeneous vertex
                 + 2 * 21 * v * 3)             # joint regressor
     total += 2 * per_hand
     return total

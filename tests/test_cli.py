@@ -1,7 +1,11 @@
+import json
+
+import numpy as np
 import pytest
 
-from bihand import cli
-from bihand.pipeline import PipelineConfig, save_config_json
+from bihand import cli, handmodel
+from bihand.pipeline import PipelineConfig, load_checkpoint, save_checkpoint, save_config_json
+from bihand.tensor import Tensor
 
 
 def run(argv):
@@ -111,6 +115,56 @@ def test_eval_empty_dataset_is_explicit_error(trained, tmp_path, capsys):
                 "--checkpoint", str(trained / "model.ckpt"), "--data", str(empty)])
     assert code == 1
     assert "empty" in capsys.readouterr().err
+
+
+def write_dataset_with(src, path, name, value):
+    """Copy of the dataset ``src`` with record ``name`` replaced by ``value``."""
+    records = load_checkpoint(src)
+    save_checkpoint(path, [(n, Tensor(value if n == name else arr)) for n, arr in records])
+
+
+def test_load_dataset_rejects_bad_records(trained, tmp_path):
+    src = trained / "dataset.bin"
+    vertices = dict(load_checkpoint(src))["s00001/gt_vertices_r"].copy()
+    vertices[3, 1] = np.nan
+    cases = [("meta/count", np.array([2.0, 2.0])), ("meta/count", np.array(np.inf)),
+             ("meta/count", np.array(np.nan)), ("meta/count", np.array(2.5)),
+             ("meta/count", np.array(-1.0)), ("s00001/gt_vertices_r", vertices),
+             ("s00000/image", np.full((3, 64, 64), np.inf))]
+    path = tmp_path / "bad.bin"
+    for name, value in cases:
+        write_dataset_with(src, path, name, value)
+        with pytest.raises(ValueError, match=name):
+            cli.load_dataset(path)
+
+
+def test_eval_non_finite_dataset_is_named_error(trained, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    theta = np.array(dict(load_checkpoint(trained / "dataset.bin"))["s00002/gt_theta_l"])
+    theta[0, 0] = np.inf
+    write_dataset_with(trained / "dataset.bin", bad, "s00002/gt_theta_l", theta)
+    code = run(["--out", str(tmp_path / "o"), "--seed", "3", "eval",
+                "--checkpoint", str(trained / "model.ckpt"), "--data", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'s00002/gt_theta_l' holds a non-finite value" in err
+    assert "Traceback" not in err
+
+
+def test_config_with_malformed_rig_is_named_error(tmp_path, capsys):
+    rig_path = tmp_path / "rig.json"
+    handmodel.save_rig_json(handmodel.make_default_rig(seed=0), rig_path)
+    doc = json.loads(rig_path.read_text())
+    doc["template"][0][0] = float("nan")
+    rig_path.write_text(json.dumps(doc))
+    cfg_path = tmp_path / "cfg.json"
+    save_config_json(PipelineConfig.toy(hand_model=str(rig_path)), cfg_path)
+    code = run(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "train-toy",
+                "--epochs", "1", "--samples", "1", "--batch-size", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "template holds a non-finite value" in err
+    assert "Traceback" not in err
 
 
 def test_gen_data_roundtrip(tmp_path):

@@ -35,6 +35,19 @@ def rig():
     return hm.make_default_rig(seed=0)
 
 
+# valid trees other than the default depth-3 five-finger fan, on its arrays
+OTHER_TREES = {
+    "chain": [-1] + list(range(15)),
+    "mixed": [-1, 0, 1, 0, 3, 4, 5, 0, 2, 8, 1, 10, 11, 12, 0, 14],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(OTHER_TREES))
+def tree_rig(request, rig):
+    return hm.HandRig(rig.template, rig.faces, OTHER_TREES[request.param],
+                      rig.rest_joints, rig.weights, rig.blendshapes, rig.regressor)
+
+
 def test_rodrigues_zero_is_identity():
     npt.assert_array_equal(hm.rodrigues(Tensor([0.0, 0.0, 0.0])).data, np.eye(3))
 
@@ -79,41 +92,53 @@ def test_rodrigues_gradients_including_near_zero():
 
 
 def test_fk_rest_pose_relative_transforms_are_identity(rig):
-    fk = hm.forward_kinematics(rig, Tensor(np.zeros((16, 3))))
-    npt.assert_array_equal(fk.rel_mats(), np.tile(np.eye(4), (16, 1, 1)))
-    npt.assert_allclose(np.array([p.data for p in fk.world_pos]),
-                        rig.rest_joints, atol=1e-12)
+    rot, pos = hm.forward_kinematics(rig, Tensor(np.zeros((16, 3))))
+    rel = np.tile(np.eye(4), (16, 1, 1))
+    rel[:, :3, :3] = rot.data
+    rel[:, :3, 3] = pos.data - (rot.data @ rig.rest_joints[:, :, None])[:, :, 0]
+    npt.assert_array_equal(rel, np.tile(np.eye(4), (16, 1, 1)))
+    npt.assert_allclose(pos.data, rig.rest_joints, atol=1e-12)
 
 
 def test_fk_root_rotation_rotates_all_joints(rig):
     aa = np.array([0.3, -0.2, 0.8])
     theta = np.zeros((16, 3))
     theta[0] = aa
-    fk = hm.forward_kinematics(rig, Tensor(theta))
+    _, pos = hm.forward_kinematics(rig, Tensor(theta))
     r = rotation_oracle(aa)
-    got = np.array([p.data for p in fk.world_pos])
     want = rig.rest_joints @ r.T  # wrist sits at the origin
-    assert np.max(np.abs(got - want)) <= 1e-10
+    assert np.max(np.abs(pos.data - want)) <= 1e-10
 
 
-def test_fk_matches_matrix_chain_oracle(rig):
+def world_chain_oracle(rig, theta):
+    """Independent scene graph: homogeneous local matrices chained explicitly."""
+    world = [None] * 16
+    for k in range(16):
+        local = np.eye(4)
+        local[:3, :3] = rotation_oracle(theta[k])
+        local[:3, 3] = rig.rest_joints[k] if k == 0 else rig.offsets[k]
+        world[k] = local if k == 0 else world[rig.parents[k]] @ local
+    return world
+
+
+def check_fk_against_chain_oracle(rig):
     rng = np.random.default_rng(11)
     for _ in range(25):
         theta = rng.normal(0, 0.5, (16, 3))
-        fk = hm.forward_kinematics(rig, Tensor(theta))
-        # independent scene-graph: homogeneous local matrices chained explicitly
-        world = [None] * 16
-        for k in range(16):
-            local = np.eye(4)
-            local[:3, :3] = rotation_oracle(theta[k])
-            local[:3, 3] = rig.rest_joints[k] if k == 0 else rig.offsets[k]
-            world[k] = local if k == 0 else world[rig.parents[k]] @ local
-        got = np.array([p.data for p in fk.world_pos])
+        rot, pos = hm.forward_kinematics(rig, Tensor(theta))
+        world = world_chain_oracle(rig, theta)
         want = np.array([w[:3, 3] for w in world])
-        assert np.max(np.abs(got - want)) <= 1e-10
-        got_r = np.array([r.data for r in fk.world_rot])
+        assert np.max(np.abs(pos.data - want)) <= 1e-10
         want_r = np.array([w[:3, :3] for w in world])
-        assert np.max(np.abs(got_r - want_r)) <= 1e-10
+        assert np.max(np.abs(rot.data - want_r)) <= 1e-10
+
+
+def test_fk_matches_matrix_chain_oracle(rig):
+    check_fk_against_chain_oracle(rig)
+
+
+def test_fk_matches_matrix_chain_oracle_on_other_trees(tree_rig):
+    check_fk_against_chain_oracle(tree_rig)
 
 
 def test_lbs_rest_pose_reproduces_template(rig):
@@ -133,12 +158,7 @@ def test_lbs_root_rotation_is_rigid(rig):
 def lbs_loop_oracle(rig, theta, beta):
     """Naive per-vertex double loop with quaternion-composed transforms."""
     shaped = rig.template + (rig.blendshapes.reshape(-1, 10) @ beta).reshape(-1, 3)
-    world = [None] * 16
-    for k in range(16):
-        local = np.eye(4)
-        local[:3, :3] = rotation_oracle(theta[k])
-        local[:3, 3] = rig.rest_joints[k] if k == 0 else rig.offsets[k]
-        world[k] = local if k == 0 else world[rig.parents[k]] @ local
+    world = world_chain_oracle(rig, theta)
     rel = []
     for k in range(16):
         fix = np.eye(4)
@@ -154,7 +174,7 @@ def lbs_loop_oracle(rig, theta, beta):
     return out
 
 
-def test_lbs_matches_naive_loop(rig):
+def check_lbs_against_loop_oracle(rig):
     rng = np.random.default_rng(13)
     trials = 100
     for _ in range(trials):
@@ -163,6 +183,14 @@ def test_lbs_matches_naive_loop(rig):
         got = hm.lbs(rig, Tensor(theta), Tensor(beta)).vertices.data
         want = lbs_loop_oracle(rig, theta, beta)
         assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_lbs_matches_naive_loop(rig):
+    check_lbs_against_loop_oracle(rig)
+
+
+def test_lbs_matches_naive_loop_on_other_trees(tree_rig):
+    check_lbs_against_loop_oracle(tree_rig)
 
 
 def test_lbs_joints_are_regressed_vertices(rig):
@@ -260,3 +288,35 @@ def test_rig_json_rejects_bad_tree(tmp_path, rig):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="topologically"):
         hm.load_rig_json(path)
+
+
+def test_rig_json_rejects_malformed_fields(tmp_path, rig):
+    import copy
+    import json
+    path = tmp_path / "rig.json"
+    hm.save_rig_json(rig, path)
+    good = json.loads(path.read_text())
+
+    def edited(field, value=None, at=None):
+        doc = copy.deepcopy(good)
+        if at is None:
+            doc[field] = value
+        else:
+            row = doc[field]
+            while isinstance(row[0], list):
+                row = row[0]
+            row[at] = value
+        return doc
+
+    cases = [(5, "JSON object"), ([good], "JSON object"),
+             (edited("parents", None), "'parents'"), (edited("faces", None), "'faces'"),
+             (edited("parents", 1.5, at=4), "'parents'"), (edited("faces", 1.5, at=1), "'faces'"),
+             (edited("parents", True, at=4), "'parents'")]
+    for field in ("template", "rest_joints", "weights", "blendshapes", "regressor"):
+        cases.append((edited(field, float("nan"), at=0), f"{field} holds a non-finite"))
+        cases.append((edited(field, float("inf"), at=0), f"{field} holds a non-finite"))
+        cases.append((edited(field, "x", at=0), f"'{field}' is not a numeric array"))
+    for doc, match in cases:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            hm.load_rig_json(path)

@@ -298,8 +298,7 @@ def test_evaluate_rejects_empty(toy_setup):
 
 
 def test_counting_formula_examples():
-    from bihand.train import _conv_flops, _linear_params
-    assert _linear_params(4, 3) == 15  # 4*3 weights + 3 biases
+    from bihand.train import _conv_flops
     # 1x1 conv, 2->2 channels on a 4x4 map: 128 multiply-add flops + 32 bias adds
     assert _conv_flops(2, 2, 1, 4, 4) == 128 + 32
 
