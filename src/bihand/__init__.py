@@ -12,7 +12,7 @@ from .pipeline import (BimanualHandNet, FullOutput, PipelineConfig,
                        save_config_json, soft_argmax)
 from .handmodel import HandRig, lbs, make_default_rig, rodrigues
 from .ssm import ScanCoeffs, VmBlockLayer, selective_scan
-from .train import (Adam, LossWeights, TrainingSample, count_params_flops,
+from .train import (Adam, LossWeights, TrainingSample, count_flops, count_params,
                     evaluate, loss, lr_schedule, mpjpe, mpvpe, synth_dataset,
                     train_loop)
 
@@ -25,7 +25,7 @@ __all__ = [
     "soft_argmax",
     "HandRig", "lbs", "make_default_rig", "rodrigues",
     "ScanCoeffs", "VmBlockLayer", "selective_scan",
-    "Adam", "LossWeights", "TrainingSample", "count_params_flops", "evaluate",
+    "Adam", "LossWeights", "TrainingSample", "count_flops", "count_params", "evaluate",
     "loss", "lr_schedule", "mpjpe", "mpvpe", "synth_dataset", "train_loop",
     "__version__",
 ]

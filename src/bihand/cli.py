@@ -5,6 +5,7 @@ All file outputs are deterministic for a fixed seed.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -15,10 +16,10 @@ from . import handmodel, ssm, train as tr
 from .gradcheck import fd_check
 from .nn import (Conv2dLayer, LayerNormLayer, MlpLayer, NonLocalBlock,
                  grid_sample, softmax)
-from .pipeline import (BimanualHandNet, PipelineConfig, load_checkpoint,
-                       load_config_json, save_checkpoint, soft_argmax)
-from .tensor import (Tensor, add, exp, log, mul, reduce_max, reduce_mean, reduce_sum,
-                     set_gradient_corruption, silu, softplus, sub)
+from .pipeline import (BimanualHandNet, PipelineConfig, build_rig, check_records,
+                       load_checkpoint, load_config_json, save_checkpoint, soft_argmax)
+from .tensor import (Tensor, add, exp, log, mul, no_grad, reduce_max, reduce_mean,
+                     reduce_sum, set_gradient_corruption, silu, softplus, sub)
 
 OP_TOLERANCE = 1e-6
 END_TO_END_TOLERANCE = 1e-5
@@ -26,16 +27,36 @@ END_TO_END_TOLERANCE = 1e-5
 
 # -- gradient-check registry -------------------------------------------------
 
-def _check_matmul():
-    rng = np.random.default_rng(11)
+GRADCHECK_REGISTRY = []  # (name, check, tol) in definition order
+
+
+def _gradcheck(name, seed, tol=OP_TOLERANCE):
+    """Register the decorated ``check(rng)`` as ``name``; every run of it
+    gets a fresh ``default_rng(seed)``."""
+    def register(check):
+        GRADCHECK_REGISTRY.append((name, lambda: check(np.random.default_rng(seed)), tol))
+        return check
+    return register
+
+
+def _probed(rng, fn, leaves, scale=1.0, **kw):
+    """fd_check of sum(fn() * probe), the U(-1, 1) probe times ``scale`` drawn
+    from ``rng`` after every input; ``rng`` then picks fd_check's coordinates."""
+    with no_grad():
+        shape = fn().shape
+    probe = Tensor(rng.uniform(-1, 1, shape) * scale)
+    return fd_check(lambda: (fn() * probe).sum(), leaves, rng=rng, **kw)
+
+
+@_gradcheck("matmul", 11)
+def _check_matmul(rng):
     x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     w = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
-    probe = Tensor(rng.uniform(-1, 1, (3, 2)))
-    return fd_check(lambda: ((x @ w) * probe).sum(), [x, w])
+    return _probed(rng, lambda: x @ w, [x, w])
 
 
-def _check_elementwise():
-    rng = np.random.default_rng(13)
+@_gradcheck("elementwise", 13)
+def _check_elementwise(rng):
     a = Tensor(rng.uniform(0.2, 2, (3, 4)), requires_grad=True)
     b = Tensor(rng.uniform(0.2, 2, (3, 4)), requires_grad=True)
 
@@ -46,8 +67,8 @@ def _check_elementwise():
     return fd_check(run, [a, b])
 
 
-def _check_reduce():
-    rng = np.random.default_rng(17)
+@_gradcheck("reduce", 17)
+def _check_reduce(rng):
     x = Tensor(rng.uniform(-2, 2, (3, 5)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, 3))
 
@@ -58,70 +79,61 @@ def _check_reduce():
     return fd_check(run, [x])
 
 
-def _check_conv2d():
-    rng = np.random.default_rng(19)
+@_gradcheck("conv2d", 19)
+def _check_conv2d(rng):
     layer = Conv2dLayer(2, 3, 3, stride=2, padding=1, rng=rng)
     x = Tensor(rng.uniform(-2, 2, (2, 5, 5)), requires_grad=True)
-    probe = Tensor(rng.uniform(-1, 1, (3, 3, 3)))
-    return fd_check(lambda: (layer(x) * probe).sum(),
-                    [x, layer.weight, layer.bias])
+    return _probed(rng, lambda: layer(x), [x, layer.weight, layer.bias])
 
 
-def _check_layernorm():
-    rng = np.random.default_rng(23)
+@_gradcheck("layernorm", 23)
+def _check_layernorm(rng):
     layer = LayerNormLayer(6)
     x = Tensor(rng.uniform(-2, 2, (3, 6)), requires_grad=True)
-    probe = Tensor(rng.uniform(-1, 1, (3, 6)))
-    trailing = fd_check(lambda: (layer(x) * probe).sum(), [x, layer.gamma, layer.beta])
+    trailing = _probed(rng, lambda: layer(x), [x, layer.gamma, layer.beta])
 
     # spatial norm of a [c,h,w] map, with a non-trivial channel affine
     norm = LayerNormLayer(3, axes=(1, 2))
     norm.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
     norm.beta.data[:] = rng.uniform(-1, 1, 3)
     fmap = Tensor(rng.uniform(-2, 2, (3, 4, 5)), requires_grad=True)
-    fprobe = Tensor(rng.uniform(-1, 1, (3, 4, 5)))
-    spatial = fd_check(lambda: (norm(fmap) * fprobe).sum(), [fmap, norm.gamma, norm.beta])
+    spatial = _probed(rng, lambda: norm(fmap), [fmap, norm.gamma, norm.beta])
     return max(trailing, spatial)
 
 
-def _check_softmax():
-    rng = np.random.default_rng(29)
+@_gradcheck("softmax", 29)
+def _check_softmax(rng):
     x = Tensor(rng.uniform(-3, 3, (3, 5)), requires_grad=True)
-    probe = Tensor(rng.uniform(-1, 1, (3, 5)))
-    return fd_check(lambda: (softmax(x, axis=1) * probe).sum(), [x])
+    return _probed(rng, lambda: softmax(x, axis=1), [x])
 
 
-def _check_grid_sample():
-    rng = np.random.default_rng(31)
+@_gradcheck("grid_sample", 31)
+def _check_grid_sample(rng):
     f = Tensor(rng.uniform(-2, 2, (2, 5, 6)), requires_grad=True)
     pts = Tensor(np.stack([rng.uniform(0.3, 4.2, 5), rng.uniform(0.3, 3.2, 5)],
                           axis=1) + 0.13, requires_grad=True)
-    probe = Tensor(rng.uniform(-1, 1, (5, 2)))
-    return fd_check(lambda: (grid_sample(f, pts) * probe).sum(), [f, pts])
+    return _probed(rng, lambda: grid_sample(f, pts), [f, pts])
 
 
-def _check_non_local():
-    rng = np.random.default_rng(37)
+@_gradcheck("non_local", 37)
+def _check_non_local(rng):
     block = NonLocalBlock(3, rng, zero_init_out=False)
     block.z.weight.data[:] = rng.uniform(-0.5, 0.5, block.z.weight.shape)
     x = Tensor(rng.uniform(-1, 1, (3, 2, 2)), requires_grad=True)
     ctx = Tensor(rng.uniform(-1, 1, (3, 2, 2)), requires_grad=True)
-    probe = Tensor(rng.uniform(-1, 1, (3, 2, 2)))
     leaves = [x, ctx] + [t for _, t in block.params()]
-    return fd_check(lambda: (block(x, ctx) * probe).sum(), leaves)
+    return _probed(rng, lambda: block(x, ctx), leaves)
 
 
-def _check_mlp():
-    rng = np.random.default_rng(41)
+@_gradcheck("mlp", 41)
+def _check_mlp(rng):
     layer = MlpLayer(4, ratio=2, rng=rng)
     x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-    probe = Tensor(rng.uniform(-1, 1, (3, 4)))
-    return fd_check(lambda: (layer(x) * probe).sum(),
-                    [x] + [t for _, t in layer.params()])
+    return _probed(rng, lambda: layer(x), [x] + [t for _, t in layer.params()])
 
 
-def _check_selective_scan():
-    rng = np.random.default_rng(43)
+@_gradcheck("selective_scan", 43)
+def _check_selective_scan(rng):
     seq, ch, state = 5, 2, 3
     delta = Tensor(rng.uniform(0.02, 0.3, (seq, ch)), requires_grad=True)
     a = Tensor(-rng.uniform(0.5, 3.0, (ch, state)), requires_grad=True)
@@ -129,39 +141,30 @@ def _check_selective_scan():
     c = Tensor(rng.uniform(-1, 1, (seq, state)), requires_grad=True)
     d = Tensor(rng.uniform(-1, 1, ch), requires_grad=True)
     x = Tensor(rng.uniform(-1, 1, (seq, ch)), requires_grad=True)
-    probe = Tensor(rng.uniform(-1, 1, (seq, ch)))
-
-    def run():
-        coeffs = ssm.ScanCoeffs(delta, a, b, c, d)
-        return (ssm.selective_scan(coeffs, x) * probe).sum()
-
-    return fd_check(run, [x, delta, a, b, c, d])
+    return _probed(rng, lambda: ssm.selective_scan(ssm.ScanCoeffs(delta, a, b, c, d), x),
+                   [x, delta, a, b, c, d])
 
 
-def _check_vmblock():
-    rng = np.random.default_rng(47)
+@_gradcheck("vmblock", 47)
+def _check_vmblock(rng):
     block = ssm.VmBlockLayer(6, state_dim=3, conv_width=3, rng=np.random.default_rng(2))
     block.out_proj.weight.data[:] = rng.normal(0, 0.2, block.out_proj.weight.shape)
     block.mlp.fc2.weight.data[:] = rng.normal(0, 0.2, block.mlp.fc2.weight.shape)
     x = Tensor(rng.uniform(-1, 1, (4, 6)), requires_grad=True)
-    probe = Tensor(rng.uniform(-1, 1, (4, 6)))
-    leaves = [x] + [t for _, t in block.params()]
-    return fd_check(lambda: (block(x) * probe).sum(), leaves,
-                    max_coords_per_leaf=8, rng=rng)
+    return _probed(rng, lambda: block(x), [x] + [t for _, t in block.params()],
+                   max_coords_per_leaf=8)
 
 
-def _check_soft_argmax():
-    rng = np.random.default_rng(53)
+@_gradcheck("soft_argmax", 53)
+def _check_soft_argmax(rng):
     logits = Tensor(rng.uniform(-2, 2, (3, 6)), requires_grad=True)
-    pos = np.linspace(0.0, 5.0, 6)
-    probe = Tensor(rng.uniform(-1, 1, 3))
-    return fd_check(lambda: (soft_argmax(logits, pos) * probe).sum(), [logits])
+    return _probed(rng, lambda: soft_argmax(logits, np.linspace(0.0, 5.0, 6)), [logits])
 
 
-def _check_rodrigues():
-    rng = np.random.default_rng(59)
+@_gradcheck("rodrigues", 59)
+def _check_rodrigues(rng):
     worst = 0.0
-    probe = Tensor(rng.uniform(-1, 1, (3, 3)))
+    probe = Tensor(rng.uniform(-1, 1, (3, 3)))  # one probe, drawn before the inputs
     for scale in (1.2, 1e-3, 5e-9):
         aa = Tensor(rng.uniform(-1, 1, 3) * scale, requires_grad=True)
         worst = max(worst, fd_check(
@@ -169,18 +172,17 @@ def _check_rodrigues():
     return worst
 
 
-def _check_lbs():
-    rng = np.random.default_rng(61)
+@_gradcheck("lbs", 61)
+def _check_lbs(rng):
     rig = handmodel.make_default_rig(seed=0)
     theta = Tensor(rng.normal(0, 0.3, (16, 3)), requires_grad=True)
     beta = Tensor(rng.normal(0, 1, 10), requires_grad=True)
-    probe = Tensor(rng.uniform(-1, 1, (rig.num_vertices, 3)) * 0.02)
-    return fd_check(lambda: (handmodel.lbs(rig, theta, beta).vertices * probe).sum(),
-                    [theta, beta], max_coords_per_leaf=16, rng=rng)
+    return _probed(rng, lambda: handmodel.lbs(rig, theta, beta).vertices, [theta, beta],
+                   scale=0.02, max_coords_per_leaf=16)
 
 
-def _check_loss():
-    rng = np.random.default_rng(67)
+@_gradcheck("loss", 67)
+def _check_loss(rng):
     cfg = PipelineConfig.toy(seed=1)
     net = BimanualHandNet(cfg)
     sample = tr.synth_dataset(cfg, net.rig, 1, seed=4)[0]
@@ -200,10 +202,9 @@ def _check_loss():
     return fd_check(run, list(preds.values()), max_coords_per_leaf=12, rng=rng)
 
 
-def _check_end_to_end():
-    cfg = PipelineConfig.toy(seed=2)
-    net = BimanualHandNet(cfg)
-    rng = np.random.default_rng(71)
+@_gradcheck("end_to_end", 71, tol=END_TO_END_TOLERANCE)
+def _check_end_to_end(rng):
+    net = BimanualHandNet(PipelineConfig.toy(seed=2))
     for _, t in net.params():
         if np.all(t.data == 0.0):
             t.data[:] = rng.normal(0, 0.1, t.data.shape)
@@ -228,26 +229,6 @@ def _check_end_to_end():
     return fd_check(run, leaves, max_coords_per_leaf=2, rng=rng)
 
 
-GRADCHECK_REGISTRY = [
-    ("matmul", _check_matmul, OP_TOLERANCE),
-    ("elementwise", _check_elementwise, OP_TOLERANCE),
-    ("reduce", _check_reduce, OP_TOLERANCE),
-    ("conv2d", _check_conv2d, OP_TOLERANCE),
-    ("layernorm", _check_layernorm, OP_TOLERANCE),
-    ("softmax", _check_softmax, OP_TOLERANCE),
-    ("grid_sample", _check_grid_sample, OP_TOLERANCE),
-    ("non_local", _check_non_local, OP_TOLERANCE),
-    ("mlp", _check_mlp, OP_TOLERANCE),
-    ("selective_scan", _check_selective_scan, OP_TOLERANCE),
-    ("vmblock", _check_vmblock, OP_TOLERANCE),
-    ("soft_argmax", _check_soft_argmax, OP_TOLERANCE),
-    ("rodrigues", _check_rodrigues, OP_TOLERANCE),
-    ("lbs", _check_lbs, OP_TOLERANCE),
-    ("loss", _check_loss, OP_TOLERANCE),
-    ("end_to_end", _check_end_to_end, END_TO_END_TOLERANCE),
-]
-
-
 def run_gradcheck(corrupt=None, stream=None):
     """Run every registered check once; returns (all_passed, report rows)."""
     stream = stream or sys.stdout
@@ -268,42 +249,39 @@ def run_gradcheck(corrupt=None, stream=None):
 
 # -- dataset container ----------------------------------------------------------
 
-_SAMPLE_FIELDS = ("image", "gt_theta_l", "gt_theta_r", "gt_beta_l", "gt_beta_r",
-                  "gt_joints_l", "gt_joints_r", "gt_joints_uvd_l", "gt_joints_uvd_r",
-                  "gt_vertices_l", "gt_vertices_r", "gt_t_rel")
-
-
 def save_dataset(path, samples):
     records = [("meta/count", Tensor(np.array(float(len(samples)))))]
     for i, s in enumerate(samples):
-        for fname in _SAMPLE_FIELDS:
-            records.append((f"s{i:05d}/{fname}", Tensor(getattr(s, fname))))
+        for f in dataclasses.fields(s):
+            records.append((f"s{i:05d}/{f.name}", Tensor(getattr(s, f.name))))
     save_checkpoint(path, records)
 
 
-def load_dataset(path):
-    """Samples of a dataset file; a malformed or non-finite record is a named error."""
-    records = dict(load_checkpoint(path))
-    if "meta/count" not in records:
+def load_dataset(path, config):
+    """Samples of a dataset file, its records checked in order against the
+    shapes ``config`` gives; a malformed or non-finite record is a named error."""
+    records = load_checkpoint(path)
+    count = dict(records).get("meta/count")
+    if count is None:
         raise ValueError("dataset file is missing its sample count record")
-    count = records["meta/count"]
     if count.shape != ():
         raise ValueError(f"dataset record 'meta/count' must be a scalar, got shape {count.shape}")
     n = float(count)
     if not (n >= 0 and n.is_integer()):
         raise ValueError(f"dataset record 'meta/count' must be a non-negative integer, got {n}")
-    samples = []
-    for i in range(int(n)):
-        kwargs = {}
-        for fname in _SAMPLE_FIELDS:
-            key = f"s{i:05d}/{fname}"
-            if key not in records:
-                raise ValueError(f"dataset file is missing record {key!r}")
-            if not np.all(np.isfinite(records[key])):
-                raise ValueError(f"dataset record {key!r} holds a non-finite value")
-            kwargs[fname] = records[key]
-        samples.append(tr.TrainingSample(**kwargs))
-    return samples
+    if n > len(records):
+        raise ValueError(f"dataset record 'meta/count' says {int(n)} samples, "
+                         f"but the file holds {len(records)} records")
+    shapes = tr.TrainingSample.shapes(config)
+    expected = [("meta/count", ())] + [(f"s{i:05d}/{fname}", shape) for i in range(int(n))
+                                       for fname, shape in shapes.items()]
+    check_records(records, expected, "dataset")
+    for key, data in records:
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"dataset record {key!r} holds a non-finite value")
+    values = [data for _, data in records[1:]]
+    return [tr.TrainingSample(**dict(zip(shapes, values[i:i + len(shapes)])))
+            for i in range(0, len(values), len(shapes))]
 
 
 # -- commands ---------------------------------------------------------------------
@@ -352,7 +330,7 @@ def cmd_eval(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     net = BimanualHandNet(cfg)
     net.load_checkpoint(args.checkpoint)
-    data = load_dataset(args.data)
+    data = load_dataset(args.data, cfg)
     metrics = tr.evaluate(net, data)
     tr.write_metrics_csv(out_dir / "metrics.csv", args.split, metrics)
     print(",".join(tr.METRICS_HEADER))
@@ -362,10 +340,9 @@ def cmd_eval(args):
 
 def cmd_gen_data(args):
     cfg = _load_config(args)
+    data = tr.synth_dataset(cfg, build_rig(cfg), args.samples, seed=cfg.seed, noise=args.noise)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rig = handmodel.make_default_rig(cfg.seed, cfg.vertices)
-    data = tr.synth_dataset(cfg, rig, args.samples, seed=cfg.seed, noise=args.noise)
     path = out_dir / "dataset.bin"
     save_dataset(path, data)
     print(f"wrote {len(data)} samples to {path}")
@@ -373,10 +350,9 @@ def cmd_gen_data(args):
 
 
 def cmd_rig_export(args):
+    rig = build_rig(_load_config(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 0
-    rig = handmodel.make_default_rig(seed)
     path = out_dir / "rig.json"
     handmodel.save_rig_json(rig, path)
     handmodel.load_rig_json(path)  # revalidate what we wrote
@@ -431,7 +407,7 @@ def cmd_count(args):
     if args.config:
         rows.insert(0, ("configured", _load_config(args)))
     for label, c in rows:
-        params, flops = tr.count_params_flops(c)
+        params, flops = tr.count_params(c), tr.count_flops(c)
         line = (f"{label:10s} params={params / 1e6:8.2f}M  "
                 f"gflops={flops / 1e9:8.2f}")
         if label == "full":
@@ -483,12 +459,12 @@ def build_parser():
     p.add_argument("--split", default="train")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("gen-data", help="write a synthetic dataset")
+    p = sub.add_parser("gen-data", help="write a synthetic dataset of the configured rig")
     p.add_argument("--samples", type=_positive_int, default=8)
     p.add_argument("--noise", type=float, default=0.0)
     p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("rig-export", help="write the procedural rig as JSON")
+    p = sub.add_parser("rig-export", help="write the configured rig as JSON")
     p.set_defaults(fn=cmd_rig_export)
 
     p = sub.add_parser("bench-scan", help="scan vs dense-operator cost comparison")
@@ -508,12 +484,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        cfg_probe = args.config
-        if cfg_probe and not Path(cfg_probe).exists():
-            print(f"config file not found: {cfg_probe}", file=sys.stderr)
-            return 2
-    except Exception:
+    if args.config and not Path(args.config).exists():
+        print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -128,15 +128,6 @@ class Conv2dLayer(Module):
         return conv2d_raw(x, self.weight, self.bias, self.stride, self.padding)
 
 
-def conv1x1_as_matmul(x, weight, bias):
-    """Reference path: a 1x1 convolution is a per-pixel matmul."""
-    c, h, w = x.shape
-    cout = weight.shape[0]
-    flat = reshape(x, (c, h * w))
-    out = matmul(reshape(weight, (cout, c)), flat) + reshape(bias, (cout, 1))
-    return reshape(out, (cout, h, w))
-
-
 class LayerNormLayer(Module):
     """Normalize over ``axes``, then scale and shift per feature.
 
@@ -281,11 +272,3 @@ class NonLocalBlock(Module):
         attn = softmax(matmul(transpose(q), k), axis=1)  # [n, n], rows sum to 1
         y = matmul(v, transpose(attn))                   # [inner, n]
         return self.z(reshape(y, (self.inner, h, w))) + x
-
-    def attention_weights(self, x, context):
-        """Attention matrix [query, key] alone, for verification."""
-        c, h, w = x.shape
-        n = h * w
-        q = reshape(self.theta(x), (self.inner, n))
-        k = reshape(self.phi(context), (self.inner, n))
-        return softmax(matmul(transpose(q), k), axis=1)

@@ -126,16 +126,6 @@ def load_config_json(path):
 # -- data containers -----------------------------------------------------------
 
 @dataclass
-class FeatureMap:
-    data: Tensor          # [c, h, w]
-    role: str = ""
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-@dataclass
 class Heatmap2p5D:
     spatial_logits: Tensor  # [J, h, w]
     depth_logits: Tensor    # [J, D]
@@ -151,30 +141,24 @@ class JointCoords:
 
 
 @dataclass
-class JointFeatures:
-    data: Tensor            # [J, c]
-    refined: bool = False
-
-
-@dataclass
 class PipelineIntermediates:
     """Every intermediate the stages exchange, for inspection and tests."""
-    f_l: FeatureMap = None
-    f_r: FeatureMap = None
-    enh_l: FeatureMap = None
-    enh_r: FeatureMap = None
-    inter_l: FeatureMap = None
-    inter_r: FeatureMap = None
-    starred_l: FeatureMap = None
-    starred_r: FeatureMap = None
+    f_l: Tensor = None              # [c, h, w] backbone branch maps
+    f_r: Tensor = None
+    enh_l: Tensor = None            # [c, h, w] after the sequence blocks
+    enh_r: Tensor = None
+    inter_l: Tensor = None          # [c, h, w] cross-hand attention
+    inter_r: Tensor = None
+    starred_l: Tensor = None        # [c, h, w] fused, fed to the extractors
+    starred_r: Tensor = None
     heatmap_l: Heatmap2p5D = None
     heatmap_r: Heatmap2p5D = None
     coords_l: JointCoords = None
     coords_r: JointCoords = None
-    joint_feats_l: JointFeatures = None
-    joint_feats_r: JointFeatures = None
-    refined_feats_l: JointFeatures = None
-    refined_feats_r: JointFeatures = None
+    joint_feats_l: Tensor = None    # [J, c] sampled at the decoded joints
+    joint_feats_r: Tensor = None
+    refined_feats_l: Tensor = None  # [J, c] after the joint refiner
+    refined_feats_r: Tensor = None
 
 
 @dataclass
@@ -226,8 +210,7 @@ class Backbone(Module):
         x = img
         for stage in self.stages:
             x = stage(x)
-        return (FeatureMap(self.head_l(x), role="F_L"),
-                FeatureMap(self.head_r(x), role="F_R"))
+        return self.head_l(x), self.head_r(x)
 
 
 class InteractionFeatureBlock(Module):
@@ -272,25 +255,17 @@ class InteractionFeatureBlock(Module):
 
 
 def soft_argmax(logits, positions):
-    """Expectation of ``positions`` under softmax over the trailing axis.
+    """Expectation of the array ``positions`` [n] under softmax over the
+    trailing axis of ``logits`` [..., n], giving [...].
 
-    logits [..., n] with positions [n] gives [...]; positions [n, k] gives
-    [..., k] (leading logits dims must then be a single row dimension).
     Outputs are guaranteed to lie in the coordinate range of the positions:
     the convex combination can overshoot by an ulp in floating point, so any
     overshoot is folded back as a constant offset that leaves the gradient
     path untouched.
     """
     p = softmax(logits, axis=-1)
-    positions = positions if isinstance(positions, Tensor) else Tensor(positions)
-    if positions.ndim == 1:
-        e = (p * positions).sum(axis=-1)
-        lo, hi = positions.data.min(), positions.data.max()
-    else:
-        e = p @ positions
-        lo = positions.data.min(axis=0)
-        hi = positions.data.max(axis=0)
-    correction = np.clip(e.data, lo, hi) - e.data
+    e = (p * Tensor(positions)).sum(axis=-1)
+    correction = np.clip(e.data, positions.min(), positions.max()) - e.data
     if np.any(correction != 0.0):
         e = e + Tensor(correction)
     return e
@@ -319,8 +294,7 @@ class JointFeatureExtractor(Module):
         y = soft_argmax(flat, grid_y.reshape(-1).astype(np.float64))
         z = soft_argmax(depth_logits, np.arange(d, dtype=np.float64))
         coords = JointCoords(xy=stack([x, y], axis=1), z=z)
-        feats = JointFeatures(grid_sample(f, coords.xy), refined=False)
-        return Heatmap2p5D(spatial_logits, depth_logits), coords, feats
+        return Heatmap2p5D(spatial_logits, depth_logits), coords, grid_sample(f, coords.xy)
 
 
 class JointSequenceRefiner(Module):
@@ -398,37 +372,24 @@ class BimanualHandNet(Module):
                             else JointFeatureExtractor(config, rng))
         self.refiner = JointSequenceRefiner(config, rng)
         self.regressor = DualHandRegressor(config, rng)
-        if config.hand_model == "default":
-            self.rig = handmodel.make_default_rig(config.seed, config.vertices)
-        else:
-            self.rig = handmodel.load_rig_json(config.hand_model)
-            if self.rig.num_vertices != config.vertices:
-                raise ValueError(f"rig has {self.rig.num_vertices} vertices, "
-                                 f"config expects {config.vertices}")
+        self.rig = build_rig(config)
 
     def forward(self, img):
         f_l, f_r = self.backbone(img)
-        starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r) = \
-            self.interaction(f_l.data, f_r.data)
+        starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r) = self.interaction(f_l, f_r)
         heat_l, coords_l, feats_l = self.extractor_l(starred_l)
         heat_r, coords_r, feats_r = self.extractor_r(starred_r)
-        ref_l, ref_r = self.refiner(feats_l.data, feats_r.data)
+        ref_l, ref_r = self.refiner(feats_l, feats_r)
         theta_l, beta_l, theta_r, beta_r, t_rel = self.regressor(
             ref_l, coords_l, ref_r, coords_r, starred_l, starred_r)
         hand_l = handmodel.lbs(self.rig, theta_l, beta_l)
         hand_r = handmodel.lbs(self.rig, theta_r, beta_r)
 
         aux = PipelineIntermediates(
-            f_l=f_l, f_r=f_r,
-            enh_l=FeatureMap(enh_l, "F_enh_L"), enh_r=FeatureMap(enh_r, "F_enh_R"),
-            inter_l=FeatureMap(inter_l, "F_inter_L"), inter_r=FeatureMap(inter_r, "F_inter_R"),
-            starred_l=FeatureMap(starred_l, "F_enh_L_star"),
-            starred_r=FeatureMap(starred_r, "F_enh_R_star"),
-            heatmap_l=heat_l, heatmap_r=heat_r,
-            coords_l=coords_l, coords_r=coords_r,
-            joint_feats_l=feats_l, joint_feats_r=feats_r,
-            refined_feats_l=JointFeatures(ref_l, refined=True),
-            refined_feats_r=JointFeatures(ref_r, refined=True))
+            f_l=f_l, f_r=f_r, enh_l=enh_l, enh_r=enh_r, inter_l=inter_l, inter_r=inter_r,
+            starred_l=starred_l, starred_r=starred_r, heatmap_l=heat_l, heatmap_r=heat_r,
+            coords_l=coords_l, coords_r=coords_r, joint_feats_l=feats_l, joint_feats_r=feats_r,
+            refined_feats_l=ref_l, refined_feats_r=ref_r)
         return FullOutput(
             theta_l=theta_l, theta_r=theta_r, beta_l=beta_l, beta_r=beta_r,
             joints_uvd_l=coords_l.uvd(), joints_uvd_r=coords_r.uvd(),
@@ -444,20 +405,36 @@ class BimanualHandNet(Module):
     def load_checkpoint(self, path):
         records = load_checkpoint(path)
         own = self.params()
-        if len(records) != len(own):
-            raise ValueError(f"checkpoint holds {len(records)} records, "
-                             f"model has {len(own)} parameters")
-        for (rec_name, rec_data), (name, t) in zip(records, own):
-            if rec_name != name:
-                raise ValueError(f"checkpoint mismatch at record {rec_name!r}: "
-                                 f"model expects {name!r}")
-            if rec_data.shape != t.data.shape:
-                raise ValueError(f"checkpoint mismatch at record {rec_name!r}: "
-                                 f"shape {rec_data.shape} vs model {t.data.shape}")
-            t.data = np.ascontiguousarray(rec_data)
+        check_records(records, [(name, t.shape) for name, t in own], "checkpoint")
+        for (_, data), (_, t) in zip(records, own):
+            t.data = np.ascontiguousarray(data)
+
+
+def build_rig(config):
+    """The hand rig ``config.hand_model`` names, with ``config.vertices`` vertices."""
+    if config.hand_model == "default":
+        return handmodel.make_default_rig(config.seed, config.vertices)
+    rig = handmodel.load_rig_json(config.hand_model)
+    if rig.num_vertices != config.vertices:
+        raise ValueError(f"rig has {rig.num_vertices} vertices, "
+                         f"config expects {config.vertices}")
+    return rig
 
 
 # -- checkpoint container --------------------------------------------------------
+
+def check_records(records, expected, what):
+    """Check (name, array) ``records`` in order against (name, shape) pairs:
+    a ValueError names the first record whose name or shape differs, and only
+    then are the counts compared. ``what`` names the file kind."""
+    for (name, data), (want, shape) in zip(records, expected):
+        if name != want:
+            raise ValueError(f"{what} mismatch at record {name!r}: expected {want!r}")
+        if data.shape != shape:
+            raise ValueError(f"{what} mismatch at record {name!r}: "
+                             f"shape {data.shape}, expected {shape}")
+    if len(records) != len(expected):
+        raise ValueError(f"{what} holds {len(records)} records, expected {len(expected)}")
 
 def save_checkpoint(path, named_tensors):
     """Write length-prefixed (name, shape, float64 LE data) records."""

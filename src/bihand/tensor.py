@@ -125,9 +125,6 @@ class Tensor:
         """Copy of the underlying array, detached from any graph."""
         return self.data.copy()
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -208,9 +205,6 @@ class Tensor:
 
     def sin(self):
         return sin(self)
-
-    def cos(self):
-        return cos(self)
 
     def relu(self):
         return relu(self)
@@ -384,15 +378,6 @@ def sin(a):
     if out._parents:
         def bw(grad):
             _accum(a, grad * np.cos(a.data))
-        out._backward = bw
-    return out
-
-
-def cos(a):
-    out = graph_op(np.cos(a.data), (a,), "cos")
-    if out._parents:
-        def bw(grad):
-            _accum(a, -grad * np.sin(a.data))
         out._backward = bw
     return out
 

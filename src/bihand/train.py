@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import handmodel
-from .pipeline import BimanualHandNet
+from .pipeline import BETA_DIM, THETA_SHAPE, BimanualHandNet
 from .ssm import scan_flops
 from .tensor import Tensor, no_grad
 
@@ -43,9 +43,6 @@ class LossWeights:
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError(f"loss weight {f.name} must be nonnegative")
-
-    def as_tuple(self):
-        return tuple(getattr(self, name) for name in LOSS_TERMS)
 
 
 @dataclass
@@ -80,6 +77,18 @@ class TrainingSample:
     gt_vertices_l: np.ndarray   # [V, 3] mm, root-relative
     gt_vertices_r: np.ndarray
     gt_t_rel: np.ndarray        # [3] mm
+
+    @staticmethod
+    def shapes(config):
+        """Each field's array shape under ``config``, in field order."""
+        theta, beta = THETA_SHAPE, (BETA_DIM,)
+        joints, uvd = (handmodel.NUM_EVAL_JOINTS, 3), (config.joints, 3)
+        vertices = (config.vertices, 3)
+        return {"image": (3, config.image_h, config.image_w),
+                "gt_theta_l": theta, "gt_theta_r": theta, "gt_beta_l": beta, "gt_beta_r": beta,
+                "gt_joints_l": joints, "gt_joints_r": joints,
+                "gt_joints_uvd_l": uvd, "gt_joints_uvd_r": uvd,
+                "gt_vertices_l": vertices, "gt_vertices_r": vertices, "gt_t_rel": (3,)}
 
 
 def _abs(t):
@@ -177,7 +186,7 @@ def render_gaussian_blobs(points_px, image_h, image_w, sigma=2.0):
     return img
 
 
-def synth_dataset(config, rig, n, seed, noise=0.0, camera=None):
+def synth_dataset(config, rig, n, seed, noise=0.0):
     """``n`` deterministic samples: posed rig pair, blob rendering, full GT."""
     if n < 1:
         raise ValueError("need at least one sample")
@@ -185,7 +194,7 @@ def synth_dataset(config, rig, n, seed, noise=0.0, camera=None):
         raise ValueError(f"coordinate supervision follows the rig's "
                          f"{handmodel.NUM_EVAL_JOINTS} evaluation joints; "
                          f"config.joints is {config.joints}")
-    camera = camera or SceneCamera()
+    camera = SceneCamera()
     rng = np.random.default_rng(seed)
     divisor = 2 ** config.backbone_stages
     samples = []
@@ -229,9 +238,9 @@ def synth_dataset(config, rig, n, seed, noise=0.0, camera=None):
     return samples
 
 
-def hands_overlap(sample, config, camera=None):
+def hands_overlap(sample, config):
     """Split heuristic: do the two hands' joint bounding boxes intersect?"""
-    camera = camera or SceneCamera()
+    camera = SceneCamera()
     roots = np.stack([np.asarray(camera.left_root_mm),
                       np.asarray(camera.left_root_mm) + sample.gt_t_rel])
     boxes = []
@@ -302,8 +311,7 @@ class TrainResult:
     initial_loss: float = float("nan")
 
 
-def train_loop(net, dataset, epochs, batch_size, lr, weights=None,
-               schedule="none", log_every=1):
+def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
     """Forward/loss/backward/Adam over sequential batches; deterministic.
 
     ``schedule`` is "none" (constant lr) or "step" (decay 0.1x at epochs 10
@@ -316,7 +324,7 @@ def train_loop(net, dataset, epochs, batch_size, lr, weights=None,
                          f"got epochs={epochs}, batch_size={batch_size}")
     if not dataset:
         raise ValueError("train_loop needs at least one sample")
-    weights = weights or LossWeights()
+    weights = LossWeights()
     opt = Adam(net.params(), lr=lr)
     result = TrainResult()
     step = 0
@@ -342,9 +350,8 @@ def train_loop(net, dataset, epochs, batch_size, lr, weights=None,
             opt.zero_grad()
             total.backward()
             opt.step()
-            if step % log_every == 0:
-                row = [step, epoch, cur_lr, value] + [term_values[n] for n in LOSS_TERMS]
-                result.trace.append(row)
+            result.trace.append([step, epoch, cur_lr, value]
+                                + [term_values[n] for n in LOSS_TERMS])
             result.final_loss = value
             step += 1
     return result
@@ -457,8 +464,5 @@ def count_flops(config):
     total += 2 * per_hand
     return total
 
-
-def count_params_flops(config):
-    return count_params(config), count_flops(config)
 
 REFERENCE_FULL_SCALE = {"params_m": 36.99, "gflops": 12.97}

@@ -316,7 +316,7 @@ def test_criterion_4_eval_of_overfit_checkpoint(overfit_run):
     cfg = r["cfg"]
     net = BimanualHandNet(cfg)
     net.load_checkpoint(r["dir"] / "model.ckpt")
-    data = cli.load_dataset(r["dir"] / "dataset.bin")
+    data = cli.load_dataset(r["dir"] / "dataset.bin", cfg)
     metrics = tr.evaluate(net, data)
     ok = metrics["mpjpe_all"] <= 0.30 * r["metrics0"]["mpjpe_all"]
     report("4c", ok, f"checkpoint evaluation on its own training set reproduces "
@@ -342,7 +342,8 @@ def test_criterion_5_cost_scaling():
 # -- criterion 6: informative full-scale accounting (non-gating) -----------------------
 
 def test_criterion_6_informative_accounting():
-    params, flops = tr.count_params_flops(PipelineConfig.full())
+    cfg = PipelineConfig.full()
+    params, flops = tr.count_params(cfg), tr.count_flops(cfg)
     ref = tr.REFERENCE_FULL_SCALE
     dp = 100.0 * (params / 1e6 - ref["params_m"]) / ref["params_m"]
     df = 100.0 * (flops / 1e9 - ref["gflops"]) / ref["gflops"]

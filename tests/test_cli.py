@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bihand import cli, handmodel
-from bihand.pipeline import PipelineConfig, load_checkpoint, save_checkpoint, save_config_json
+from bihand.pipeline import (BimanualHandNet, PipelineConfig, load_checkpoint, save_checkpoint,
+                             save_config_json)
 from bihand.tensor import Tensor
 
 
@@ -22,12 +23,18 @@ def trained(tmp_path_factory):
     return out
 
 
+GRADCHECK_NAMES = ["matmul", "elementwise", "reduce", "conv2d", "layernorm", "softmax",
+                   "grid_sample", "non_local", "mlp", "selective_scan", "vmblock",
+                   "soft_argmax", "rodrigues", "lbs", "loss", "end_to_end"]
+
+
 def test_gradcheck_reports_every_op_once(capsys):
     assert run(["gradcheck"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     names = [line.split()[0] for line in lines if "max_rel_err" in line]
-    assert names == [name for name, _, _ in cli.GRADCHECK_REGISTRY]
-    assert len(names) == len(set(names))
+    assert names == [name for name, _, _ in cli.GRADCHECK_REGISTRY] == GRADCHECK_NAMES
+    tols = {name: tol for name, _, tol in cli.GRADCHECK_REGISTRY}
+    assert tols == {name: 1e-5 if name == "end_to_end" else 1e-6 for name in GRADCHECK_NAMES}
 
 
 def test_gradcheck_corrupted_rule_fails(capsys):
@@ -105,7 +112,12 @@ def test_eval_mismatched_checkpoint_names_record(trained, tmp_path, capsys):
                 "--checkpoint", str(trained / "model.ckpt"),
                 "--data", str(trained / "dataset.bin")])
     assert code == 1
-    assert "record" in capsys.readouterr().err or True
+    saved = [name for name, _ in load_checkpoint(trained / "model.ckpt")]
+    own = [name for name, _ in BimanualHandNet(PipelineConfig.toy(vm_ife_depth=1)).params()]
+    first = next(a for a, b in zip(saved, own) if a != b)
+    err = capsys.readouterr().err
+    assert f"checkpoint mismatch at record {first!r}" in err
+    assert "Traceback" not in err
 
 
 def test_eval_empty_dataset_is_explicit_error(trained, tmp_path, capsys):
@@ -118,9 +130,11 @@ def test_eval_empty_dataset_is_explicit_error(trained, tmp_path, capsys):
 
 
 def write_dataset_with(src, path, name, value):
-    """Copy of the dataset ``src`` with record ``name`` replaced by ``value``."""
+    """Copy of the dataset ``src`` with record ``name`` replaced by ``value``,
+    or dropped when ``value`` is None."""
     records = load_checkpoint(src)
-    save_checkpoint(path, [(n, Tensor(value if n == name else arr)) for n, arr in records])
+    save_checkpoint(path, [(n, Tensor(value if n == name else arr)) for n, arr in records
+                           if n != name or value is not None])
 
 
 def test_load_dataset_rejects_bad_records(trained, tmp_path):
@@ -129,13 +143,15 @@ def test_load_dataset_rejects_bad_records(trained, tmp_path):
     vertices[3, 1] = np.nan
     cases = [("meta/count", np.array([2.0, 2.0])), ("meta/count", np.array(np.inf)),
              ("meta/count", np.array(np.nan)), ("meta/count", np.array(2.5)),
-             ("meta/count", np.array(-1.0)), ("s00001/gt_vertices_r", vertices),
-             ("s00000/image", np.full((3, 64, 64), np.inf))]
+             ("meta/count", np.array(-1.0)), ("meta/count", np.array(1e12)),
+             ("s00001/gt_vertices_r", vertices),
+             ("s00000/image", np.full((3, 64, 64), np.inf)),
+             ("s00000/gt_theta_l", np.zeros(3)), ("s00001/gt_beta_l", None)]
     path = tmp_path / "bad.bin"
     for name, value in cases:
         write_dataset_with(src, path, name, value)
         with pytest.raises(ValueError, match=name):
-            cli.load_dataset(path)
+            cli.load_dataset(path, PipelineConfig.toy())
 
 
 def test_eval_non_finite_dataset_is_named_error(trained, tmp_path, capsys):
@@ -151,6 +167,17 @@ def test_eval_non_finite_dataset_is_named_error(trained, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_wrong_shape_dataset_is_named_error(trained, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    write_dataset_with(trained / "dataset.bin", bad, "s00000/gt_theta_l", np.zeros(3))
+    code = run(["--out", str(tmp_path / "o"), "--seed", "3", "eval",
+                "--checkpoint", str(trained / "model.ckpt"), "--data", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "dataset mismatch at record 's00000/gt_theta_l'" in err
+    assert "Traceback" not in err
+
+
 def test_config_with_malformed_rig_is_named_error(tmp_path, capsys):
     rig_path = tmp_path / "rig.json"
     handmodel.save_rig_json(handmodel.make_default_rig(seed=0), rig_path)
@@ -159,18 +186,19 @@ def test_config_with_malformed_rig_is_named_error(tmp_path, capsys):
     rig_path.write_text(json.dumps(doc))
     cfg_path = tmp_path / "cfg.json"
     save_config_json(PipelineConfig.toy(hand_model=str(rig_path)), cfg_path)
-    code = run(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "train-toy",
-                "--epochs", "1", "--samples", "1", "--batch-size", "1"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "template holds a non-finite value" in err
-    assert "Traceback" not in err
+    for argv in (["train-toy", "--epochs", "1", "--samples", "1", "--batch-size", "1"],
+                 ["gen-data", "--samples", "1"], ["rig-export"]):
+        code = run(["--config", str(cfg_path), "--out", str(tmp_path / "o")] + argv)
+        assert code == 1, argv
+        err = capsys.readouterr().err
+        assert "template holds a non-finite value" in err
+        assert "Traceback" not in err
 
 
 def test_gen_data_roundtrip(tmp_path):
     out = tmp_path / "data"
     assert run(["--out", str(out), "--seed", "11", "gen-data", "--samples", "3"]) == 0
-    samples = cli.load_dataset(out / "dataset.bin")
+    samples = cli.load_dataset(out / "dataset.bin", PipelineConfig.toy(seed=11))
     assert len(samples) == 3
     assert samples[0].image.shape == (3, 64, 64)
     assert samples[0].gt_vertices_l.shape == (252, 3)
@@ -185,12 +213,35 @@ def test_gen_data_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_gen_data_follows_configured_rig(tmp_path):
+    rig_path = tmp_path / "rig.json"
+    handmodel.save_rig_json(handmodel.make_default_rig(seed=0), rig_path)
+    doc = json.loads(rig_path.read_text())
+    doc["template"] = (np.array(doc["template"]) * 1.5).tolist()
+    rig_path.write_text(json.dumps(doc))
+    cfg_path = tmp_path / "cfg.json"
+    save_config_json(PipelineConfig.toy(hand_model=str(rig_path)), cfg_path)
+    assert run(["--out", str(tmp_path / "default"), "gen-data", "--samples", "1"]) == 0
+    assert run(["--config", str(cfg_path), "--out", str(tmp_path / "scaled"),
+                "gen-data", "--samples", "1"]) == 0
+    default = dict(load_checkpoint(tmp_path / "default" / "dataset.bin"))
+    scaled = dict(load_checkpoint(tmp_path / "scaled" / "dataset.bin"))
+    assert not np.allclose(default["s00000/gt_vertices_l"], scaled["s00000/gt_vertices_l"])
+
+
 def test_rig_export_validates(tmp_path):
     out = tmp_path / "rig"
     assert run(["--out", str(out), "--seed", "17", "rig-export"]) == 0
     from bihand.handmodel import load_rig_json
     rig = load_rig_json(out / "rig.json")
     assert rig.num_vertices == 252
+
+
+def test_rig_export_follows_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    save_config_json(PipelineConfig.toy(vertices=244), cfg_path)
+    assert run(["--config", str(cfg_path), "--out", str(tmp_path / "rig"), "rig-export"]) == 0
+    assert handmodel.load_rig_json(tmp_path / "rig" / "rig.json").num_vertices == 244
 
 
 def test_bench_scan_small_lengths(tmp_path, capsys):

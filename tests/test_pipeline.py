@@ -61,8 +61,8 @@ def test_backbone_full_profile_shapes():
 
 def test_backbone_zero_image_gives_zero_maps(toy_net):
     f_l, f_r = toy_net.backbone(Tensor(np.zeros((3, 64, 64))))
-    assert np.all(f_l.data.data == 0.0)
-    assert np.all(f_r.data.data == 0.0)
+    assert np.all(f_l.data == 0.0)
+    assert np.all(f_r.data == 0.0)
 
 
 def test_backbone_rejects_wrong_shape(toy_net):
@@ -352,14 +352,13 @@ def test_forward_exposes_all_intermediates(toy_net):
     with no_grad():
         out = toy_net.forward(Tensor(rng.uniform(0, 1, (3, 64, 64))))
     aux = out.aux
-    assert aux.f_l.role == "F_L" and aux.f_r.role == "F_R"
     for name in ("enh_l", "enh_r", "inter_l", "inter_r", "starred_l", "starred_r"):
         assert getattr(aux, name) is not None
     assert aux.heatmap_l.spatial_logits.shape == (21, 8, 8)
     assert aux.heatmap_l.depth_logits.shape == (21, 16)
     assert aux.coords_l.xy.shape == (21, 2)  # sampling positions
-    assert aux.joint_feats_l.refined is False
-    assert aux.refined_feats_l.refined is True
+    assert aux.f_l.shape == aux.starred_r.shape == (16, 8, 8)
+    assert aux.joint_feats_l.shape == aux.refined_feats_r.shape == (21, 16)
 
 
 def test_full_network_gradients_small_config():

@@ -104,7 +104,7 @@ def test_binary_elementwise_gradients(op):
     assert fd_check(lambda: getattr(T, op)(a, b).sum(), [a, b]) <= 1e-6
 
 
-@pytest.mark.parametrize("op", ["exp", "log", "sqrt", "sin", "cos", "silu", "softplus"])
+@pytest.mark.parametrize("op", ["exp", "log", "sqrt", "sin", "silu", "softplus"])
 def test_unary_elementwise_gradients(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     a = T.Tensor(rng.uniform(0.1, 2, (7,)), requires_grad=True)
