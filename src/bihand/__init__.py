@@ -10,7 +10,7 @@ from .tensor import Tensor, no_grad, reset_grads
 from .pipeline import (BimanualHandNet, FullOutput, PipelineConfig,
                        load_checkpoint, load_config_json, save_checkpoint,
                        save_config_json, soft_argmax)
-from .handmodel import HandRig, lbs, make_default_rig, rodrigues
+from .handmodel import HandRig, lbs, make_default_rig, rodrigues_batch
 from .ssm import ScanCoeffs, VmBlockLayer, selective_scan
 from .train import (Adam, LossWeights, TrainingSample, count_flops, count_params,
                     evaluate, loss, lr_schedule, mpjpe, mpvpe, synth_dataset,
@@ -23,7 +23,7 @@ __all__ = [
     "BimanualHandNet", "FullOutput", "PipelineConfig",
     "load_checkpoint", "save_checkpoint", "load_config_json", "save_config_json",
     "soft_argmax",
-    "HandRig", "lbs", "make_default_rig", "rodrigues",
+    "HandRig", "lbs", "make_default_rig", "rodrigues_batch",
     "ScanCoeffs", "VmBlockLayer", "selective_scan",
     "Adam", "LossWeights", "TrainingSample", "count_flops", "count_params", "evaluate",
     "loss", "lr_schedule", "mpjpe", "mpvpe", "synth_dataset", "train_loop",

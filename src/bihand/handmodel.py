@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, bmm, concat, matmul, reshape, stack
+from .tensor import Tensor, concat, matmul, reshape, stack
 
 SMALL_ANGLE = 1e-8
 NUM_JOINTS = 16
@@ -41,7 +41,7 @@ def rodrigues_batch(aa):
     k = reshape(stack([zero, -az, ay,
                        az, zero, -ax,
                        -ay, ax, zero], axis=1), (n, 3, 3))
-    k2 = bmm(k, k)
+    k2 = matmul(k, k)
 
     t_sq = (aa * aa).sum(axis=1)
     small = Tensor((t_sq.data < SMALL_ANGLE ** 2).astype(np.float64))
@@ -57,11 +57,6 @@ def rodrigues_batch(aa):
 
     eye = Tensor(np.tile(np.eye(3), (n, 1, 1)))
     return eye + reshape(coeff_a, (n, 1, 1)) * k + reshape(coeff_b, (n, 1, 1)) * k2
-
-
-def rodrigues(aa):
-    """Single axis-angle vector [3] to a rotation matrix [3,3]."""
-    return reshape(rodrigues_batch(reshape(aa, (1, 3))), (3, 3))
 
 
 @dataclass
@@ -177,8 +172,8 @@ def forward_kinematics(rig, theta):
     for joints, up in rig.levels:
         parent_rot = rot[up]
         offsets = Tensor(rig.offsets[joints][:, :, None])
-        pos = pos[up] + reshape(bmm(parent_rot, offsets), (len(joints), 3))
-        rot = bmm(parent_rot, local[joints])
+        pos = pos[up] + reshape(matmul(parent_rot, offsets), (len(joints), 3))
+        rot = matmul(parent_rot, local[joints])
         rots.append(rot)
         poss.append(pos)
     return concat(rots)[rig.joint_rows], concat(poss)[rig.joint_rows]
@@ -203,11 +198,11 @@ def lbs(rig, theta, beta):
     v = rig.num_vertices
     base = shaped_template(rig, beta)
     rot, pos = forward_kinematics(rig, theta)
-    rest = reshape(bmm(rot, Tensor(rig.rest_joints[:, :, None])), (NUM_JOINTS, 3))
+    rest = reshape(matmul(rot, Tensor(rig.rest_joints[:, :, None])), (NUM_JOINTS, 3))
     rel = concat([rot, reshape(pos - rest, (NUM_JOINTS, 3, 1))], axis=2)
     blend = reshape(matmul(Tensor(rig.weights), reshape(rel, (NUM_JOINTS, 12))), (v, 3, 4))
     hom = reshape(concat([base, Tensor(np.ones((v, 1)))], axis=1), (v, 4, 1))
-    vertices = reshape(bmm(blend, hom), (v, 3))
+    vertices = reshape(matmul(blend, hom), (v, 3))
     joints = matmul(Tensor(rig.regressor), vertices)
     return HandOutput(vertices=vertices, joints=joints)
 

@@ -116,6 +116,8 @@ def save_config_json(config, path):
 def load_config_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file must hold a JSON object, got {type(doc).__name__}")
     known = {f.name for f in dataclasses.fields(PipelineConfig)}
     unknown = sorted(set(doc) - known)
     if unknown:

@@ -1,13 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Storage is contiguous row-major numpy float64; structural ops (reshape,
-transpose, slicing, concat) copy rather than alias. Every operation whose
-inputs participate in gradient tracking records its inputs and a local
-gradient rule on the output; calling ``backward()`` on a scalar walks the
-recorded graph once, in reverse topological order, and accumulates ``grad``
-on every reachable tensor with ``requires_grad``. Gradients of broadcast
-operands are summed over the broadcast axes so ``grad`` always matches
-``data`` in shape.
+Storage is contiguous row-major numpy float64. ``reshape``, and a
+``transpose`` or basic slice whose result is contiguous, return views of
+their input's array; the other structural ops copy. This is safe because
+nothing writes into ``.data`` in place while a graph that reads it is alive:
+``Adam.step`` and ``load_checkpoint`` rebind ``.data`` instead. Every
+operation whose inputs participate in gradient tracking records its inputs
+and a local gradient rule on the output; calling ``backward()`` on a scalar
+walks the recorded graph once, in reverse topological order, and accumulates
+``grad`` on every reachable tensor with ``requires_grad``. Gradients of
+broadcast operands are summed over the broadcast axes so ``grad`` always
+matches ``data`` in shape.
 
 A graph supports exactly one ``backward()``; a second call raises unless
 ``reset_grads`` was invoked on the root first. Silent double accumulation is
@@ -121,10 +124,6 @@ class Tensor:
             raise ValueError(f"item() requires a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self):
-        """Copy of the underlying array, detached from any graph."""
-        return self.data.copy()
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -197,9 +196,6 @@ class Tensor:
     def exp(self):
         return exp(self)
 
-    def log(self):
-        return log(self)
-
     def sqrt(self):
         return sqrt(self)
 
@@ -220,9 +216,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return reduce_mean(self, axis, keepdims)
-
-    def max(self, axis=None, keepdims=False):
-        return reduce_max(self, axis, keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -354,15 +347,6 @@ def exp(a):
     return out
 
 
-def log(a):
-    out = graph_op(np.log(a.data), (a,), "log")
-    if out._parents:
-        def bw(grad):
-            _accum(a, grad / a.data)
-        out._backward = bw
-    return out
-
-
 def sqrt(a):
     y = np.sqrt(a.data)
     out = graph_op(y, (a,), "sqrt")
@@ -414,26 +398,12 @@ def softplus(a):
 # -- matrix products ---------------------------------------------------------
 
 def matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    """[p,q] @ [q,r] -> [p,r], or batched [n,p,q] @ [n,q,r] -> [n,p,r]."""
+    if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2] \
+            or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul expects [p,q]@[q,r] or [n,p,q]@[n,q,r], "
+                         f"got {a.shape} and {b.shape}")
     out = graph_op(a.data @ b.data, (a, b), "matmul")
-    if out._parents:
-        def bw(g):
-            if a.requires_grad:
-                _accum(a, g @ b.data.T)
-            if b.requires_grad:
-                _accum(b, a.data.T @ g)
-        out._backward = bw
-    return out
-
-
-def bmm(a, b):
-    """Batched matmul: [n,p,q] @ [n,q,r] -> [n,p,r]."""
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ValueError(f"bmm expects [n,p,q]@[n,q,r], got {a.shape} and {b.shape}")
-    out = graph_op(a.data @ b.data, (a, b), "bmm")
     if out._parents:
         def bw(g):
             if a.requires_grad:
@@ -494,34 +464,6 @@ def reduce_mean(t, axis=None, keepdims=False):
         def bw(grad):
             g = grad.reshape(kshape) / count
             _accum(t, np.broadcast_to(g, t.data.shape).copy())
-        out._backward = bw
-    return out
-
-
-def reduce_max(t, axis=None, keepdims=False):
-    """Max over ``axis``; gradient routes to the first maximal element.
-
-    Ties send the whole gradient to the lowest linear index of the reduced
-    slice, so the subgradient choice is deterministic and testable.
-    """
-    axes = _norm_axes(axis, t.ndim)
-    _check_nonempty(t, axes)
-    out_data = t.data.max(axis=axes if axes else None, keepdims=keepdims)
-    out = graph_op(out_data, (t,), "max")
-    if out._parents:
-        kept = tuple(i for i in range(t.ndim) if i not in axes)
-        kshape = _keepdims_shape(t.data.shape, axes)
-        def bw(grad):
-            g = grad.reshape([t.data.shape[i] for i in kept] or [1])
-            moved = np.moveaxis(t.data, axes, range(len(kept), t.ndim))
-            kept_shape = moved.shape[:len(kept)]
-            flat = moved.reshape(kept_shape + (-1,))
-            idx = flat.argmax(axis=-1)
-            buf = np.zeros_like(flat)
-            np.put_along_axis(buf, idx[..., None],
-                              g.reshape(kept_shape + (1,)), axis=-1)
-            buf = buf.reshape(moved.shape)
-            _accum(t, np.moveaxis(buf, range(len(kept), t.ndim), axes))
         out._backward = bw
     return out
 

@@ -190,6 +190,8 @@ def synth_dataset(config, rig, n, seed, noise=0.0):
     """``n`` deterministic samples: posed rig pair, blob rendering, full GT."""
     if n < 1:
         raise ValueError("need at least one sample")
+    if not (np.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
     if config.joints != handmodel.NUM_EVAL_JOINTS:
         raise ValueError(f"coordinate supervision follows the rig's "
                          f"{handmodel.NUM_EVAL_JOINTS} evaluation joints; "
@@ -324,6 +326,8 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
                          f"got epochs={epochs}, batch_size={batch_size}")
     if not dataset:
         raise ValueError("train_loop needs at least one sample")
+    if schedule not in ("none", "step"):
+        raise ValueError(f"train_loop schedule must be 'none' or 'step', got {schedule!r}")
     weights = LossWeights()
     opt = Adam(net.params(), lr=lr)
     result = TrainResult()
@@ -455,7 +459,7 @@ def count_flops(config):
     # joints, one blend of the 16 relative [3,4] transforms, one apply
     v = config.vertices
     per_hand = (16 * 60                       # rodrigues assembly
-                + 15 * (2 * 27 + 2 * 9 + 3)   # child rotation and offset bmm, add
+                + 15 * (2 * 27 + 2 * 9 + 3)   # child rotation and offset matmul, add
                 + 16 * (2 * 9 + 3)            # relative translation pos - R rest
                 + 2 * v * 10 * 3              # blendshapes
                 + 2 * v * 16 * 12             # weights[V,16] @ transforms[16,12]

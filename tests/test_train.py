@@ -35,13 +35,13 @@ def make_output(rng, cfg, v):
 def sample_from_output(out, cfg):
     return tr.TrainingSample(
         image=np.zeros((3, cfg.image_h, cfg.image_w)),
-        gt_theta_l=out.theta_l.numpy(), gt_theta_r=out.theta_r.numpy(),
-        gt_beta_l=out.beta_l.numpy(), gt_beta_r=out.beta_r.numpy(),
-        gt_joints_l=out.joints_mm_l.numpy(), gt_joints_r=out.joints_mm_r.numpy(),
-        gt_joints_uvd_l=out.joints_uvd_l.numpy(),
-        gt_joints_uvd_r=out.joints_uvd_r.numpy(),
-        gt_vertices_l=out.vertices_l.numpy(), gt_vertices_r=out.vertices_r.numpy(),
-        gt_t_rel=out.t_rel.numpy())
+        gt_theta_l=out.theta_l.data.copy(), gt_theta_r=out.theta_r.data.copy(),
+        gt_beta_l=out.beta_l.data.copy(), gt_beta_r=out.beta_r.data.copy(),
+        gt_joints_l=out.joints_mm_l.data.copy(), gt_joints_r=out.joints_mm_r.data.copy(),
+        gt_joints_uvd_l=out.joints_uvd_l.data.copy(),
+        gt_joints_uvd_r=out.joints_uvd_r.data.copy(),
+        gt_vertices_l=out.vertices_l.data.copy(), gt_vertices_r=out.vertices_r.data.copy(),
+        gt_t_rel=out.t_rel.data.copy())
 
 
 def test_loss_zero_when_prediction_matches():
@@ -212,6 +212,13 @@ def test_synth_deterministic_per_seed(toy_setup):
         assert np.array_equal(sa.gt_t_rel, sb.gt_t_rel)
 
 
+@pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+def test_synth_rejects_bad_noise(toy_setup, noise):
+    cfg, net, _ = toy_setup
+    with pytest.raises(ValueError, match="noise must be a finite number >= 0"):
+        tr.synth_dataset(cfg, net.rig, 1, seed=1, noise=noise)
+
+
 def test_synth_images_have_expected_channels(toy_setup):
     cfg, _, data = toy_setup
     for sample in data:
@@ -317,13 +324,16 @@ def test_train_aborts_on_non_finite_loss():
     (0, 2, 2, "epochs=0"),
     (1, 0, 2, "batch_size=0"),
     (1, 2, 0, "at least one sample"),
+    (1, 2, 2, "schedule .* got 'cosine'"),
 ])
 def test_train_loop_rejects_bad_loop_bounds(epochs, batch_size, n, match):
     cfg = train_config(seed=6)
     net = BimanualHandNet(cfg)
     data = tr.synth_dataset(cfg, net.rig, 2, seed=1)[:n]
+    schedule = "cosine" if "cosine" in match else "none"
     with pytest.raises(ValueError, match=match):
-        tr.train_loop(net, data, epochs=epochs, batch_size=batch_size, lr=1e-3)
+        tr.train_loop(net, data, epochs=epochs, batch_size=batch_size, lr=1e-3,
+                      schedule=schedule)
 
 
 def test_param_counter_matches_checkpoint_enumeration(tmp_path):
