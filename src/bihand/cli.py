@@ -308,10 +308,10 @@ def cmd_train_toy(args):
     cfg = _load_config(args)
     net = BimanualHandNet(cfg)
     data = tr.synth_dataset(cfg, net.rig, args.samples, seed=cfg.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = tr.train_loop(net, data, epochs=args.epochs, batch_size=args.batch_size,
                            lr=args.lr, schedule=args.schedule)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     tr.write_trace_csv(out_dir / "loss_trace.csv", result.trace)
     net.save_checkpoint(out_dir / "model.ckpt")
     save_dataset(out_dir / "dataset.bin", data)
@@ -363,13 +363,10 @@ def cmd_rig_export(args):
 def cmd_bench_scan(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lengths = [int(s) for s in args.seq_lengths.split(",") if s]
-    if not lengths or any(v < 1 for v in lengths):
-        raise ValueError(f"sequence lengths must be positive, got {args.seq_lengths!r}")
     ch, state = 4, 8
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     rows = []
-    for seq in lengths:
+    for seq in args.seq_lengths:
         delta = rng.uniform(0.02, 0.2, (seq, ch))
         a = -rng.uniform(0.5, 3.0, (ch, state))
         b = rng.uniform(-1, 1, (seq, state))
@@ -434,7 +431,12 @@ def _checked(convert, ok, what):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
-_noise_level = _checked(float, lambda v: np.isfinite(v) and v >= 0, "a finite non-negative number")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_finite_non_negative = _checked(float, lambda v: np.isfinite(v) and v >= 0,
+                                "a finite non-negative number")
+_positive_int_list = _checked(lambda text: [int(s) for s in text.split(",") if s],
+                              lambda v: v and min(v) >= 1,
+                              "a comma-separated list of positive integers")
 
 
 def build_parser():
@@ -442,7 +444,7 @@ def build_parser():
         prog="bihand",
         description="Two-hand reconstruction: verification, training, evaluation.")
     parser.add_argument("--config", default=None, help="pipeline config JSON")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=None, help="override config seed")
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -453,7 +455,7 @@ def build_parser():
 
     p = sub.add_parser("train-toy", help="overfit the toy profile on synthetic data")
     p.add_argument("--epochs", type=_positive_int, default=500)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_finite_non_negative, default=1e-3)
     p.add_argument("--samples", type=_positive_int, default=8)
     p.add_argument("--batch-size", type=_positive_int, default=8)
     p.add_argument("--schedule", choices=("none", "step"), default="none")
@@ -467,14 +469,14 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset of the configured rig")
     p.add_argument("--samples", type=_positive_int, default=8)
-    p.add_argument("--noise", type=_noise_level, default=0.0)
+    p.add_argument("--noise", type=_finite_non_negative, default=0.0)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("rig-export", help="write the configured rig as JSON")
     p.set_defaults(fn=cmd_rig_export)
 
     p = sub.add_parser("bench-scan", help="scan vs dense-operator cost comparison")
-    p.add_argument("--seq-lengths", default="256,512,1024,2048")
+    p.add_argument("--seq-lengths", type=_positive_int_list, default="256,512,1024,2048")
     p.add_argument("--dense-cap", type=int, default=2048,
                    help="skip dense timing above this length (memory)")
     p.set_defaults(fn=cmd_bench_scan)

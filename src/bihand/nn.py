@@ -94,23 +94,20 @@ def conv2d_raw(x, weight, bias, stride=1, padding=0):
     w2 = weight.data.reshape(cout, cin * kh * kw)
     out_data = (w2 @ cols + bias.data[:, None]).reshape(cout, oh, ow)
 
-    out = graph_op(out_data, (x, weight, bias), "conv2d")
-    if out._parents:
-        def bw(grad):
-            g2 = grad.reshape(cout, oh * ow)
-            if bias.requires_grad:
-                _accum(bias, g2.sum(axis=1))
-            if weight.requires_grad:
-                _accum(weight, (g2 @ cols.T).reshape(weight.shape))
-            if x.requires_grad:
-                dcols = (w2.T @ g2).reshape(cin, kh, kw, oh, ow)
-                dxp = np.zeros_like(xp)
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]
-                _accum(x, dxp[:, p:p + h, p:p + w] if p else dxp)
-        out._backward = bw
-    return out
+    def bw(grad):
+        g2 = grad.reshape(cout, oh * ow)
+        if bias.requires_grad:
+            _accum(bias, g2.sum(axis=1))
+        if weight.requires_grad:
+            _accum(weight, (g2 @ cols.T).reshape(weight.shape))
+        if x.requires_grad:
+            dcols = (w2.T @ g2).reshape(cin, kh, kw, oh, ow)
+            dxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]
+            _accum(x, dxp[:, p:p + h, p:p + w] if p else dxp)
+    return graph_op(out_data, (x, weight, bias), "conv2d", bw)
 
 
 class Conv2dLayer(Module):
@@ -220,27 +217,24 @@ def grid_sample(f, points):
     bot = f10 * (1 - fx) + f11 * fx
     out_data = (top * (1 - fy) + bot * fy).T  # [J, c]
 
-    out = graph_op(out_data, (f, points), "grid_sample")
-    if out._parents:
-        def bw(grad):
-            g = grad.T  # [c, J]
-            if f.requires_grad:
-                df = np.zeros_like(f.data)
-                np.add.at(df, (slice(None), y0, x0), g * ((1 - fx) * (1 - fy)))
-                np.add.at(df, (slice(None), y0, x1), g * (fx * (1 - fy)))
-                np.add.at(df, (slice(None), y1, x0), g * ((1 - fx) * fy))
-                np.add.at(df, (slice(None), y1, x1), g * (fx * fy))
-                _accum(f, df)
-            if points.requires_grad:
-                dxc = (1 - fy) * (f01 - f00) + fy * (f11 - f10)
-                dyc = bot - top
-                in_x = (px >= 0.0) & (px <= w - 1.0)
-                in_y = (py >= 0.0) & (py <= h - 1.0)
-                dp = np.stack([(g * dxc).sum(axis=0) * in_x,
-                               (g * dyc).sum(axis=0) * in_y], axis=1)
-                _accum(points, dp)
-        out._backward = bw
-    return out
+    def bw(grad):
+        g = grad.T  # [c, J]
+        if f.requires_grad:
+            df = np.zeros_like(f.data)
+            np.add.at(df, (slice(None), y0, x0), g * ((1 - fx) * (1 - fy)))
+            np.add.at(df, (slice(None), y0, x1), g * (fx * (1 - fy)))
+            np.add.at(df, (slice(None), y1, x0), g * ((1 - fx) * fy))
+            np.add.at(df, (slice(None), y1, x1), g * (fx * fy))
+            _accum(f, df)
+        if points.requires_grad:
+            dxc = (1 - fy) * (f01 - f00) + fy * (f11 - f10)
+            dyc = bot - top
+            in_x = (px >= 0.0) & (px <= w - 1.0)
+            in_y = (py >= 0.0) & (py <= h - 1.0)
+            dp = np.stack([(g * dxc).sum(axis=0) * in_x,
+                           (g * dyc).sum(axis=0) * in_y], axis=1)
+            _accum(points, dp)
+    return graph_op(out_data, (f, points), "grid_sample", bw)
 
 
 class NonLocalBlock(Module):

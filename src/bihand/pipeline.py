@@ -68,6 +68,8 @@ class PipelineConfig:
                      "state_dim", "expand", "conv_width", "mlp_ratio"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"config field seed must be non-negative, got {self.seed}")
         if self.depth_bins < 2:
             raise ValueError("depth_bins must be at least 2")
         div = 2 ** self.backbone_stages

@@ -62,35 +62,32 @@ def selective_scan(coeffs, x):
         hs[t] = h
     y = np.einsum("ts,tds->td", c.data, hs) + d_skip.data[None, :] * x.data
 
-    out = graph_op(y, (x, delta, a, b, c, d_skip), "scan")
-    if out._parents:
-        def bw(gy):
-            gh = np.zeros((ch, state))
-            dabar = np.empty_like(abar)
-            dbinc = np.empty_like(abar)
-            for t in range(seq - 1, -1, -1):
-                gh = gh + gy[t, :, None] * c.data[t, None, :]
-                dabar[t] = gh * hs[t - 1] if t > 0 else 0.0
-                dbinc[t] = gh
-                gh = gh * abar[t]
-            if x.requires_grad:
-                dx = np.einsum("tds,td,ts->td", dbinc, delta.data, b.data)
-                dx += gy * d_skip.data[None, :]
-                _accum(x, dx)
-            if delta.requires_grad:
-                dd = np.einsum("tds,tds,ds->td", dabar, abar, a.data)
-                dd += np.einsum("tds,ts,td->td", dbinc, b.data, x.data)
-                _accum(delta, dd)
-            if a.requires_grad:
-                _accum(a, np.einsum("tds,tds,td->ds", dabar, abar, delta.data))
-            if b.requires_grad:
-                _accum(b, np.einsum("tds,td,td->ts", dbinc, delta.data, x.data))
-            if c.requires_grad:
-                _accum(c, np.einsum("td,tds->ts", gy, hs))
-            if d_skip.requires_grad:
-                _accum(d_skip, np.einsum("td,td->d", gy, x.data))
-        out._backward = bw
-    return out
+    def bw(gy):
+        gh = np.zeros((ch, state))
+        dabar = np.empty_like(abar)
+        dbinc = np.empty_like(abar)
+        for t in range(seq - 1, -1, -1):
+            gh = gh + gy[t, :, None] * c.data[t, None, :]
+            dabar[t] = gh * hs[t - 1] if t > 0 else 0.0
+            dbinc[t] = gh
+            gh = gh * abar[t]
+        if x.requires_grad:
+            dx = np.einsum("tds,td,ts->td", dbinc, delta.data, b.data)
+            dx += gy * d_skip.data[None, :]
+            _accum(x, dx)
+        if delta.requires_grad:
+            dd = np.einsum("tds,tds,ds->td", dabar, abar, a.data)
+            dd += np.einsum("tds,ts,td->td", dbinc, b.data, x.data)
+            _accum(delta, dd)
+        if a.requires_grad:
+            _accum(a, np.einsum("tds,tds,td->ds", dabar, abar, delta.data))
+        if b.requires_grad:
+            _accum(b, np.einsum("tds,td,td->ts", dbinc, delta.data, x.data))
+        if c.requires_grad:
+            _accum(c, np.einsum("td,tds->ts", gy, hs))
+        if d_skip.requires_grad:
+            _accum(d_skip, np.einsum("td,td->d", gy, x.data))
+    return graph_op(y, (x, delta, a, b, c, d_skip), "scan", bw)
 
 
 class SsmParams(Module):

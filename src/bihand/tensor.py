@@ -16,12 +16,13 @@ A graph supports exactly one ``backward()``; a second call raises unless
 ``reset_grads`` was invoked on the root first. Silent double accumulation is
 the classic correctness trap this guards against.
 
-Each gradient rule is a closure ``bw(grad)`` stored on its output as
-``_backward``; ``backward()`` calls it with the output's accumulated
-gradient. A rule may capture its inputs and arrays it computed, never its
-own output tensor. Edges then point only from outputs to inputs, so a graph
-has no reference cycle and is freed by reference counting as soon as its
-root goes out of scope.
+Each op defines its gradient rule, a closure ``bw(grad)``, before its
+output exists and passes it to ``graph_op``, which stores it as the output's
+``_backward`` together with the parents, or not at all. ``backward()`` calls
+it with the output's accumulated gradient. A rule captures its inputs and
+arrays it computed, and cannot capture its own output. Edges then point only
+from outputs to inputs, so a graph has no reference cycle and is freed by
+reference counting as soon as its root goes out of scope.
 """
 
 import numpy as np
@@ -230,20 +231,23 @@ def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def graph_op(data, parents, op_tag):
-    """Create an op-output tensor; caller attaches ``out._backward`` after.
+def graph_op(data, parents, op_tag, backward):
+    """Create an op-output tensor with gradient rule ``backward``.
 
-    Records ``parents`` only when gradient mode is on and at least one parent
-    takes gradients, so pure evaluation builds no graph. The rule attached as
-    ``out._backward`` receives the output gradient as its argument and must
-    not reference ``out``; values it needs from the output (``exp``,
-    ``sqrt``) are captured as the computed array instead.
+    Records ``parents``, ``op_tag`` and the rule together, and only when
+    gradient mode is on and at least one parent takes gradients, so pure
+    evaluation builds no graph. The rule receives the output gradient as its
+    argument; it is defined before the output exists and so cannot reference
+    it. Values it needs from the output (``exp``, ``sqrt``) are captured as
+    the computed array instead; values only it needs are computed inside it,
+    so pure evaluation does no work for them.
     """
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._op = op_tag
+        out._backward = backward
     return out
 
 
@@ -278,121 +282,88 @@ def reset_grads(root):
 
 def add(a, b):
     a, b = _lift(a), _lift(b)
-    out = graph_op(np.add(a.data, b.data), (a, b), "add")
-    if out._parents:
-        def bw(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g, b.data.shape))
-        out._backward = bw
-    return out
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+    return graph_op(np.add(a.data, b.data), (a, b), "add", bw)
 
 
 def sub(a, b):
     a, b = _lift(a), _lift(b)
-    out = graph_op(np.subtract(a.data, b.data), (a, b), "sub")
-    if out._parents:
-        def bw(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-g, b.data.shape))
-        out._backward = bw
-    return out
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
+    return graph_op(np.subtract(a.data, b.data), (a, b), "sub", bw)
 
 
 def mul(a, b):
     a, b = _lift(a), _lift(b)
-    out = graph_op(np.multiply(a.data, b.data), (a, b), "mul")
-    if out._parents:
-        def bw(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.data.shape))
-        out._backward = bw
-    return out
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+    return graph_op(np.multiply(a.data, b.data), (a, b), "mul", bw)
 
 
 def div(a, b):
     a, b = _lift(a), _lift(b)
-    out = graph_op(np.divide(a.data, b.data), (a, b), "div")
-    if out._parents:
-        def bw(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-        out._backward = bw
-    return out
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+    return graph_op(np.divide(a.data, b.data), (a, b), "div", bw)
 
 
 def neg(a):
-    out = graph_op(np.negative(a.data), (a,), "neg")
-    if out._parents:
-        def bw(grad):
-            _accum(a, -grad)
-        out._backward = bw
-    return out
+    def bw(grad):
+        _accum(a, -grad)
+    return graph_op(np.negative(a.data), (a,), "neg", bw)
 
 
 def exp(a):
     y = np.exp(a.data)
-    out = graph_op(y, (a,), "exp")
-    if out._parents:
-        def bw(grad):
-            _accum(a, grad * y)
-        out._backward = bw
-    return out
+    def bw(grad):
+        _accum(a, grad * y)
+    return graph_op(y, (a,), "exp", bw)
 
 
 def sqrt(a):
     y = np.sqrt(a.data)
-    out = graph_op(y, (a,), "sqrt")
-    if out._parents:
-        def bw(grad):
-            _accum(a, grad * 0.5 / y)
-        out._backward = bw
-    return out
+    def bw(grad):
+        _accum(a, grad * 0.5 / y)
+    return graph_op(y, (a,), "sqrt", bw)
 
 
 def sin(a):
-    out = graph_op(np.sin(a.data), (a,), "sin")
-    if out._parents:
-        def bw(grad):
-            _accum(a, grad * np.cos(a.data))
-        out._backward = bw
-    return out
+    def bw(grad):
+        _accum(a, grad * np.cos(a.data))
+    return graph_op(np.sin(a.data), (a,), "sin", bw)
 
 
 def relu(a):
-    out = graph_op(np.maximum(a.data, 0.0), (a,), "relu")
-    if out._parents:
-        def bw(grad):
-            _accum(a, grad * (a.data > 0.0))
-        out._backward = bw
-    return out
+    def bw(grad):
+        _accum(a, grad * (a.data > 0.0))
+    return graph_op(np.maximum(a.data, 0.0), (a,), "relu", bw)
 
 
 def silu(a):
     """x * sigmoid(x); smooth gate used by the sequence blocks."""
     s = _sigmoid(a.data)
-    out = graph_op(a.data * s, (a,), "silu")
-    if out._parents:
-        def bw(grad):
-            _accum(a, grad * (s * (1.0 + a.data * (1.0 - s))))
-        out._backward = bw
-    return out
+    def bw(grad):
+        _accum(a, grad * (s * (1.0 + a.data * (1.0 - s))))
+    return graph_op(a.data * s, (a,), "silu", bw)
 
 
 def softplus(a):
-    out = graph_op(np.logaddexp(0.0, a.data), (a,), "softplus")
-    if out._parents:
-        def bw(grad):
-            _accum(a, grad * _sigmoid(a.data))
-        out._backward = bw
-    return out
+    def bw(grad):
+        _accum(a, grad * _sigmoid(a.data))
+    return graph_op(np.logaddexp(0.0, a.data), (a,), "softplus", bw)
 
 
 # -- matrix products ---------------------------------------------------------
@@ -403,15 +374,12 @@ def matmul(a, b):
             or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul expects [p,q]@[q,r] or [n,p,q]@[n,q,r], "
                          f"got {a.shape} and {b.shape}")
-    out = graph_op(a.data @ b.data, (a, b), "matmul")
-    if out._parents:
-        def bw(g):
-            if a.requires_grad:
-                _accum(a, g @ b.data.swapaxes(-1, -2))
-            if b.requires_grad:
-                _accum(b, a.data.swapaxes(-1, -2) @ g)
-        out._backward = bw
-    return out
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g @ b.data.swapaxes(-1, -2))
+        if b.requires_grad:
+            _accum(b, a.data.swapaxes(-1, -2) @ g)
+    return graph_op(a.data @ b.data, (a, b), "matmul", bw)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -440,107 +408,80 @@ def _keepdims_shape(shape, axes):
 def reduce_sum(t, axis=None, keepdims=False):
     axes = _norm_axes(axis, t.ndim)
     _check_nonempty(t, axes)
-    out_data = t.data.sum(axis=axes if axes else None, keepdims=keepdims)
-    out = graph_op(out_data, (t,), "sum")
-    if out._parents:
-        kshape = _keepdims_shape(t.data.shape, axes)
-        def bw(grad):
-            g = grad.reshape(kshape)
-            _accum(t, np.broadcast_to(g, t.data.shape).copy())
-        out._backward = bw
-    return out
+    def bw(grad):
+        g = grad.reshape(_keepdims_shape(t.data.shape, axes))
+        _accum(t, np.broadcast_to(g, t.data.shape).copy())
+    return graph_op(t.data.sum(axis=axes if axes else None, keepdims=keepdims),
+                    (t,), "sum", bw)
 
 
 def reduce_mean(t, axis=None, keepdims=False):
     axes = _norm_axes(axis, t.ndim)
     _check_nonempty(t, axes)
-    count = 1
-    for ax in axes:
-        count *= t.data.shape[ax]
-    out_data = t.data.mean(axis=axes if axes else None, keepdims=keepdims)
-    out = graph_op(out_data, (t,), "mean")
-    if out._parents:
-        kshape = _keepdims_shape(t.data.shape, axes)
-        def bw(grad):
-            g = grad.reshape(kshape) / count
-            _accum(t, np.broadcast_to(g, t.data.shape).copy())
-        out._backward = bw
-    return out
+    def bw(grad):
+        count = 1
+        for ax in axes:
+            count *= t.data.shape[ax]
+        g = grad.reshape(_keepdims_shape(t.data.shape, axes)) / count
+        _accum(t, np.broadcast_to(g, t.data.shape).copy())
+    return graph_op(t.data.mean(axis=axes if axes else None, keepdims=keepdims),
+                    (t,), "mean", bw)
 
 
 # -- movement -----------------------------------------------------------------
 
 def reshape(t, shape):
-    out = graph_op(_contig(t.data.reshape(shape)), (t,), "reshape")
-    if out._parents:
-        def bw(grad):
-            _accum(t, grad.reshape(t.data.shape))
-        out._backward = bw
-    return out
+    def bw(grad):
+        _accum(t, grad.reshape(t.data.shape))
+    return graph_op(_contig(t.data.reshape(shape)), (t,), "reshape", bw)
 
 
 def transpose(t, axes=None):
     if axes is None:
         axes = tuple(reversed(range(t.ndim)))
     axes = tuple(a % t.ndim for a in axes)
-    out = graph_op(_contig(np.transpose(t.data, axes)), (t,), "transpose")
-    if out._parents:
-        inv = np.argsort(axes)
-        def bw(grad):
-            _accum(t, _contig(np.transpose(grad, inv)))
-        out._backward = bw
-    return out
+    def bw(grad):
+        _accum(t, _contig(np.transpose(grad, np.argsort(axes))))
+    return graph_op(_contig(np.transpose(t.data, axes)), (t,), "transpose", bw)
 
 
 def getitem(t, key):
-    out = graph_op(_contig(t.data[key]), (t,), "getitem")
-    if out._parents:
-        def bw(grad):
-            buf = np.zeros_like(t.data)
-            np.add.at(buf, key, grad)
-            _accum(t, buf)
-        out._backward = bw
-    return out
+    def bw(grad):
+        buf = np.zeros_like(t.data)
+        np.add.at(buf, key, grad)
+        _accum(t, buf)
+    return graph_op(_contig(t.data[key]), (t,), "getitem", bw)
 
 
 def concat(tensors, axis=0):
     tensors = [_lift(t) for t in tensors]
-    out = graph_op(np.concatenate([t.data for t in tensors], axis=axis),
-                   tuple(tensors), "concat")
-    if out._parents:
-        sizes = [t.data.shape[axis] for t in tensors]
-        def bw(grad):
-            offset = 0
-            for t, n in zip(tensors, sizes):
-                if t.requires_grad:
-                    sl = [slice(None)] * grad.ndim
-                    sl[axis] = slice(offset, offset + n)
-                    _accum(t, _contig(grad[tuple(sl)]))
-                offset += n
-        out._backward = bw
-    return out
+    def bw(grad):
+        offset = 0
+        for t in tensors:
+            n = t.data.shape[axis]
+            if t.requires_grad:
+                sl = [slice(None)] * grad.ndim
+                sl[axis] = slice(offset, offset + n)
+                _accum(t, _contig(grad[tuple(sl)]))
+            offset += n
+    return graph_op(np.concatenate([t.data for t in tensors], axis=axis),
+                    tuple(tensors), "concat", bw)
 
 
 def stack(tensors, axis=0):
     tensors = [_lift(t) for t in tensors]
-    out = graph_op(np.stack([t.data for t in tensors], axis=axis),
-                   tuple(tensors), "stack")
-    if out._parents:
-        def bw(grad):
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    _accum(t, _contig(np.take(grad, i, axis=axis)))
-        out._backward = bw
-    return out
+    def bw(grad):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                _accum(t, _contig(np.take(grad, i, axis=axis)))
+    return graph_op(np.stack([t.data for t in tensors], axis=axis),
+                    tuple(tensors), "stack", bw)
 
 
 def pad(t, pads):
     """Zero-pad; ``pads`` is a (before, after) pair per axis."""
     pads = tuple((int(b), int(a)) for b, a in pads)
-    out = graph_op(np.pad(t.data, pads), (t,), "pad")
-    if out._parents:
+    def bw(grad):
         core = tuple(slice(b, b + n) for (b, _), n in zip(pads, t.data.shape))
-        def bw(grad):
-            _accum(t, _contig(grad[core]))
-        out._backward = bw
-    return out
+        _accum(t, _contig(grad[core]))
+    return graph_op(np.pad(t.data, pads), (t,), "pad", bw)

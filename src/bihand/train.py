@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import handmodel
-from .pipeline import BETA_DIM, THETA_SHAPE, BimanualHandNet
+from .pipeline import BETA_DIM, THETA_SHAPE, BimanualHandNet, check_records
 from .ssm import scan_flops
 from .tensor import Tensor, no_grad
 
@@ -229,14 +229,17 @@ def synth_dataset(config, rig, n, seed, noise=0.0):
         if noise > 0.0:
             img = img + rng.normal(0.0, noise, img.shape)
 
-        samples.append(TrainingSample(
+        sample = TrainingSample(
             image=img,
             gt_theta_l=theta[0], gt_theta_r=theta[1],
             gt_beta_l=beta[0], gt_beta_r=beta[1],
             gt_joints_l=joints[0], gt_joints_r=joints[1],
             gt_joints_uvd_l=uvd[0], gt_joints_uvd_r=uvd[1],
             gt_vertices_l=vertices[0], gt_vertices_r=vertices[1],
-            gt_t_rel=t_rel))
+            gt_t_rel=t_rel)
+        check_records([(f.name, getattr(sample, f.name)) for f in fields(sample)],
+                      list(TrainingSample.shapes(config).items()), "synthesized sample")
+        samples.append(sample)
     return samples
 
 
@@ -326,6 +329,8 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
                          f"got epochs={epochs}, batch_size={batch_size}")
     if not dataset:
         raise ValueError("train_loop needs at least one sample")
+    if not (np.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"train_loop needs a finite lr >= 0, got {lr}")
     if schedule not in ("none", "step"):
         raise ValueError(f"train_loop schedule must be 'none' or 'step', got {schedule!r}")
     weights = LossWeights()

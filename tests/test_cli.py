@@ -310,11 +310,29 @@ def test_missing_config_file_exit_2(capsys):
     ["gen-data", "--noise", "-1"],
     ["gen-data", "--noise", "nan"],
     ["gen-data", "--noise", "inf"],
+    ["train-toy", "--lr", "nan"],
+    ["train-toy", "--lr", "inf"],
+    ["train-toy", "--lr", "-1"],
+    ["--seed", "-1", "train-toy"],
+    ["bench-scan", "--seq-lengths", "0"],
+    ["bench-scan", "--seq-lengths", "x"],
 ])
 def test_non_positive_loop_bounds_exit_2(argv, tmp_path, capsys):
     assert run(["--out", str(tmp_path / "o")] + argv) == 2
-    want = "a finite non-negative number" if "--noise" in argv else "a positive integer"
+    wants = {"--noise": "a finite non-negative number", "--lr": "a finite non-negative number",
+             "--seed": "a non-negative integer",
+             "--seq-lengths": "a comma-separated list of positive integers"}
+    want = next((w for flag, w in wants.items() if flag in argv), "a positive integer")
     assert f"must be {want}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_train_toy_divergence_leaves_no_out(tmp_path, capsys):
+    code = run(["--out", str(tmp_path / "o"), "train-toy", "--epochs", "3", "--samples", "1",
+                "--batch-size", "1", "--lr", "1e300"])
+    assert code == 1
+    assert "error: non-finite loss at step" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -425,6 +425,7 @@ def test_config_validation():
     ("scan_order", 1, "str"),
     ("hand_model", None, "str"),
     ("share_hand_heads", 1, "bool"),
+    ("seed", -1, "non-negative"),
 ])
 def test_config_rejects_wrong_field_types(field, value, expected):
     with pytest.raises(ValueError, match=f"config field {field} must be {expected}, "):

@@ -218,6 +218,7 @@ def test_no_grad_builds_no_graph():
     with T.no_grad():
         y = (x * x).sum()
     assert y._parents == ()
+    assert y._backward is None
     y.backward()  # legal but reaches no leaves
     assert x.grad is None
 

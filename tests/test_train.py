@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from bihand import train as tr
+from bihand.handmodel import make_default_rig
 from bihand.pipeline import (BimanualHandNet, FullOutput, PipelineConfig,
                              PipelineIntermediates)
 from bihand.tensor import Tensor
@@ -219,6 +220,12 @@ def test_synth_rejects_bad_noise(toy_setup, noise):
         tr.synth_dataset(cfg, net.rig, 1, seed=1, noise=noise)
 
 
+def test_synth_rejects_rig_that_disagrees_with_config():
+    rig = make_default_rig(0, 252)
+    with pytest.raises(ValueError, match="'gt_vertices_l': shape \\(252, 3\\), expected \\(300, 3\\)"):
+        tr.synth_dataset(PipelineConfig.toy(vertices=300), rig, 1, seed=0)
+
+
 def test_synth_images_have_expected_channels(toy_setup):
     cfg, _, data = toy_setup
     for sample in data:
@@ -325,14 +332,18 @@ def test_train_aborts_on_non_finite_loss():
     (1, 0, 2, "batch_size=0"),
     (1, 2, 0, "at least one sample"),
     (1, 2, 2, "schedule .* got 'cosine'"),
+    (1, 2, 2, "finite lr >= 0, got nan"),
+    (1, 2, 2, "finite lr >= 0, got inf"),
+    (1, 2, 2, "finite lr >= 0, got -1.0"),
 ])
 def test_train_loop_rejects_bad_loop_bounds(epochs, batch_size, n, match):
     cfg = train_config(seed=6)
     net = BimanualHandNet(cfg)
     data = tr.synth_dataset(cfg, net.rig, 2, seed=1)[:n]
     schedule = "cosine" if "cosine" in match else "none"
+    lr = float(match.rsplit(" ", 1)[1]) if "finite lr" in match else 1e-3
     with pytest.raises(ValueError, match=match):
-        tr.train_loop(net, data, epochs=epochs, batch_size=batch_size, lr=1e-3,
+        tr.train_loop(net, data, epochs=epochs, batch_size=batch_size, lr=lr,
                       schedule=schedule)
 
 
