@@ -5,6 +5,7 @@ All file outputs are deterministic for a fixed seed.
 """
 
 import argparse
+import csv
 import dataclasses
 import sys
 import time
@@ -15,7 +16,7 @@ import numpy as np
 from . import handmodel, ssm, train as tr
 from .gradcheck import fd_check
 from .nn import (Conv2dLayer, LayerNormLayer, MlpLayer, NonLocalBlock,
-                 grid_sample, softmax)
+                 grid_sample, linear, softmax)
 from .pipeline import (BimanualHandNet, PipelineConfig, build_rig, check_records,
                        load_checkpoint, load_config_json, save_checkpoint, soft_argmax)
 from .tensor import (Tensor, exp, mul, no_grad, reduce_mean, reduce_sum, reshape,
@@ -55,6 +56,16 @@ def _check_matmul(rng):
     return _probed(rng, lambda: x @ w, [x, w])
 
 
+@_gradcheck("linear", 73)
+def _check_linear(rng):
+    x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
+    v = Tensor(rng.uniform(-2, 2, 4), requires_grad=True)
+    w = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, 2), requires_grad=True)
+    return max(_probed(rng, lambda: linear(x, w, b), [x, w, b]),
+               _probed(rng, lambda: linear(v, w, b), [v, w, b]))
+
+
 @_gradcheck("elementwise", 13)
 def _check_elementwise(rng):
     a = Tensor(rng.uniform(0.2, 2, (3, 4)), requires_grad=True)
@@ -65,6 +76,14 @@ def _check_elementwise(rng):
         return sub(h, exp(a * 0.3)).sum()
 
     return fd_check(run, [a, b])
+
+
+@_gradcheck("abs", 79)
+def _check_abs(rng):
+    # away from the kink at 0, where the central difference is not the slope
+    x = Tensor(rng.uniform(0.1, 2, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4)),
+               requires_grad=True)
+    return _probed(rng, lambda: abs(x), [x])
 
 
 @_gradcheck("reduce", 17)
@@ -83,6 +102,14 @@ def _check_conv2d(rng):
     layer = Conv2dLayer(2, 3, 3, stride=2, padding=1, rng=rng)
     x = Tensor(rng.uniform(-2, 2, (2, 5, 5)), requires_grad=True)
     return _probed(rng, lambda: layer(x), [x, layer.weight, layer.bias])
+
+
+@_gradcheck("conv1d", 83)
+def _check_conv1d(rng):
+    x = Tensor(rng.uniform(-2, 2, (5, 3)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+    return _probed(rng, lambda: ssm.depthwise_conv1d_causal(x, w, b), [x, w, b])
 
 
 @_gradcheck("layernorm", 23)
@@ -333,8 +360,9 @@ def cmd_eval(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = tr.evaluate(net, data)
     tr.write_metrics_csv(out_dir / "metrics.csv", args.split, metrics)
-    print(",".join(tr.METRICS_HEADER))
-    print(",".join([args.split] + [f"{metrics[k]:.6f}" for k in tr.METRICS_HEADER[1:]]))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(tr.METRICS_HEADER)
+    writer.writerow([args.split] + [f"{metrics[k]:.6f}" for k in tr.METRICS_HEADER[1:]])
     return 0
 
 

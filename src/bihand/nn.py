@@ -65,9 +65,24 @@ class Linear(Module):
     def __call__(self, x):
         if x.shape[-1] != self.in_features:
             raise ValueError(f"linear expects width {self.in_features}, got {x.shape}")
-        flat = x if x.ndim == 2 else reshape(x, (1, self.in_features))
-        out = matmul(flat, self.weight) + self.bias
-        return out if x.ndim == 2 else reshape(out, (self.out_features,))
+        return linear(x, self.weight, self.bias)
+
+
+def linear(x, weight, bias):
+    """x[..., in] @ weight[in,out] + bias[out] as one graph node."""
+    n_in, n_out = weight.shape
+    flat = x.data.reshape(-1, n_in)
+    out_data = (flat @ weight.data + bias.data).reshape(x.shape[:-1] + (n_out,))
+
+    def bw(grad):
+        g2 = grad.reshape(-1, n_out)
+        if x.requires_grad:
+            _accum(x, (g2 @ weight.data.T).reshape(x.shape))
+        if weight.requires_grad:
+            _accum(weight, flat.T @ g2)
+        if bias.requires_grad:
+            _accum(bias, g2.sum(axis=0))
+    return graph_op(out_data, (x, weight, bias), "linear", bw)
 
 
 def conv2d_raw(x, weight, bias, stride=1, padding=0):
@@ -152,14 +167,44 @@ class LayerNormLayer(Module):
             raise ValueError(f"layernorm expects [{self.features},h,w], got {x.shape}")
         if not spatial and x.shape[-1] != self.features:
             raise ValueError(f"layernorm expects trailing dim {self.features}, got {x.shape}")
-        mu = x.mean(axis=self.axes, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=self.axes, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        if not spatial:
-            return normed * self.gamma + self.beta
-        shape = (self.features, 1, 1)
-        return normed * reshape(self.gamma, shape) + reshape(self.beta, shape)
+        return layer_norm(x, self.gamma, self.beta, self.axes, self.eps)
+
+
+def layer_norm(x, gamma, beta, axes, eps):
+    """(x - mean) / sqrt(var + eps) over ``axes``, then ``* gamma + beta``, as
+    one graph node. ``axes=(-1,)`` puts the affine on the trailing axis;
+    ``axes=(1, 2)`` puts it on the channels of a [c,h,w] map.
+
+    The backward rule is the closed form of Ba et al. 2016: with
+    gx = grad * gamma, dx = (gx - mean(gx) - xhat * mean(gx * xhat)) / sigma.
+    """
+    axes = tuple(sorted(a % x.ndim for a in axes))
+    trailing = axes == (x.ndim - 1,)
+    shape = gamma.shape if trailing else gamma.shape + (1, 1)
+    mu = x.data.mean(axis=axes, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    sigma = np.sqrt(var + eps)
+    xhat = centered / sigma
+    out_data = xhat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+
+    def bw(grad):
+        # the normalized axes trail, so each normalized group is one row of a
+        # [groups, n] view, reduced in one pass; gamma and beta vary along its
+        # columns (trailing form) or its rows (spatial form)
+        n = xhat.size // sigma.size
+        g2, xh = grad.reshape(-1, n), xhat.reshape(-1, n)
+        if x.requires_grad:
+            gx = (grad * gamma.data.reshape(shape)).reshape(-1, n)
+            dx = (gx - gx.mean(axis=1, keepdims=True)
+                  - xh * (gx * xh).mean(axis=1, keepdims=True)) / sigma.reshape(-1, 1)
+            _accum(x, dx.reshape(x.shape))
+        across = 0 if trailing else 1
+        if gamma.requires_grad:
+            _accum(gamma, (g2 * xh).sum(axis=across))
+        if beta.requires_grad:
+            _accum(beta, g2.sum(axis=across))
+    return graph_op(out_data, (x, gamma, beta), "layernorm", bw)
 
 
 class MlpLayer(Module):
@@ -176,14 +221,18 @@ class MlpLayer(Module):
 
 
 def softmax(x, axis=-1):
-    """exp-normalize along ``axis`` with max subtraction for stability.
+    """exp-normalize along ``axis`` with max subtraction for stability, as one
+    graph node; the backward rule is p * (g - sum(g * p)).
 
-    The shift is a detached constant; softmax is shift invariant so the
-    gradient is unchanged.
+    The shift is a constant; softmax is shift invariant so the gradient is
+    unchanged.
     """
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    p = e / e.sum(axis=axis, keepdims=True)
+
+    def bw(grad):
+        _accum(x, p * (grad - (grad * p).sum(axis=axis, keepdims=True)))
+    return graph_op(p, (x,), "softmax", bw)
 
 
 def grid_sample(f, points):

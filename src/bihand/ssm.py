@@ -18,7 +18,7 @@ correctness oracle and efficiency baseline.
 import numpy as np
 
 from .nn import Linear, LayerNormLayer, MlpLayer, Module
-from .tensor import Tensor, graph_op, pad, reshape, transpose, _accum
+from .tensor import Tensor, graph_op, reshape, transpose, _accum
 
 SCAN_ORDERS = ("row_major", "column_major")
 
@@ -119,15 +119,34 @@ def depthwise_conv1d_causal(x, weight, bias):
 
     x[seq, ch] with taps weight[ch, k]; the sequence is left-padded by k-1
     zeros so position t sees only positions <= t and length is preserved.
+    One graph node: the input gradient correlates the output gradient,
+    right-padded by k-1 zeros, with the taps in reverse order.
     """
     seq, ch = x.shape
     k = weight.shape[1]
-    xp = pad(x, [(k - 1, 0), (0, 0)])
-    acc = None
-    for j in range(k):
-        term = xp[j:j + seq, :] * weight[:, j]
-        acc = term if acc is None else acc + term
-    return acc + bias
+    xp = np.zeros((seq + k - 1, ch))  # np.pad costs more than the taps here
+    xp[k - 1:] = x.data
+    w = weight.data
+    acc = xp[0:seq] * w[:, 0]
+    for j in range(1, k):
+        acc = acc + xp[j:j + seq] * w[:, j]
+
+    def bw(grad):
+        if x.requires_grad:
+            gp = np.zeros((seq + k - 1, ch))
+            gp[:seq] = grad
+            dx = gp[k - 1:k - 1 + seq] * w[:, 0]
+            for j in range(1, k):
+                dx = dx + gp[k - 1 - j:k - 1 - j + seq] * w[:, j]
+            _accum(x, dx)
+        if weight.requires_grad:
+            dw = np.empty((ch, k))
+            for j in range(k):
+                dw[:, j] = np.einsum("tc,tc->c", grad, xp[j:j + seq])
+            _accum(weight, dw)
+        if bias.requires_grad:
+            _accum(bias, grad.sum(axis=0))
+    return graph_op(acc + bias.data, (x, weight, bias), "conv1d", bw)
 
 
 class CausalConv1d(Module):

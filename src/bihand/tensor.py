@@ -187,6 +187,9 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
+    def __abs__(self):
+        return abs(self)
+
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -346,6 +349,13 @@ def sin(a):
     return graph_op(np.sin(a.data), (a,), "sin", bw)
 
 
+def abs(a):
+    """|x|; the subgradient at 0 is 0."""
+    def bw(grad):
+        _accum(a, grad * np.sign(a.data))
+    return graph_op(np.abs(a.data), (a,), "abs", bw)
+
+
 def relu(a):
     def bw(grad):
         _accum(a, grad * (a.data > 0.0))
@@ -448,7 +458,13 @@ def transpose(t, axes=None):
 def getitem(t, key):
     def bw(grad):
         buf = np.zeros_like(t.data)
-        np.add.at(buf, key, grad)
+        # a key of ints and slices selects each element at most once, so its
+        # gradient is assigned; fancy keys may repeat elements and accumulate
+        if all(isinstance(k, (int, np.integer, slice))
+               for k in (key if isinstance(key, tuple) else (key,))):
+            buf[key] = grad
+        else:
+            np.add.at(buf, key, grad)
         _accum(t, buf)
     return graph_op(_contig(t.data[key]), (t,), "getitem", bw)
 
@@ -476,12 +492,3 @@ def stack(tensors, axis=0):
                 _accum(t, _contig(np.take(grad, i, axis=axis)))
     return graph_op(np.stack([t.data for t in tensors], axis=axis),
                     tuple(tensors), "stack", bw)
-
-
-def pad(t, pads):
-    """Zero-pad; ``pads`` is a (before, after) pair per axis."""
-    pads = tuple((int(b), int(a)) for b, a in pads)
-    def bw(grad):
-        core = tuple(slice(b, b + n) for (b, _), n in zip(pads, t.data.shape))
-        _accum(t, _contig(grad[core]))
-    return graph_op(np.pad(t.data, pads), (t,), "pad", bw)

@@ -10,6 +10,7 @@ heatmap frame (x, y, depth-bin) the network's coordinate head predicts in.
 """
 
 import csv
+import gc
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -91,16 +92,11 @@ class TrainingSample:
                 "gt_vertices_l": vertices, "gt_vertices_r": vertices, "gt_t_rel": (3,)}
 
 
-def _abs(t):
-    # |x| as relu(x) + relu(-x); the subgradient at 0 is 0
-    return t.relu() + (-t).relu()
-
-
 def mae(pred, target, term):
     if pred.shape != tuple(target.shape):
         raise ValueError(f"loss term {term!r}: prediction shape {pred.shape} "
                          f"does not match target {tuple(target.shape)}")
-    return _abs(pred - Tensor(target)).mean()
+    return abs(pred - Tensor(target)).mean()
 
 
 def loss_terms(pred, gt):
@@ -323,6 +319,10 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
     and 15 from ``lr``). Aborts with the step index if the loss goes
     non-finite. Per-sample losses are averaged inside one graph so gradient
     accumulation is merged in sample order.
+
+    Graphs hold no reference cycles, so the cyclic collector frees nothing
+    here; its generation-0 threshold is raised while the loop runs, and the
+    caller's thresholds are restored on exit.
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError(f"train_loop needs epochs >= 1 and batch_size >= 1, "
@@ -337,32 +337,37 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
     opt = Adam(net.params(), lr=lr)
     result = TrainResult()
     step = 0
-    for epoch in range(epochs):
-        cur_lr = lr if schedule == "none" else lr_schedule(epoch, base_lr=lr)
-        opt.lr = cur_lr
-        for start in range(0, len(dataset), batch_size):
-            batch = dataset[start:start + batch_size]
-            total = None
-            term_values = {name: 0.0 for name in LOSS_TERMS}
-            for sample in batch:
-                terms = loss_terms(net.forward(Tensor(sample.image)), sample)
-                for name in LOSS_TERMS:
-                    term_values[name] += float(terms[name].data) / len(batch)
-                sample_total = weighted_sum(terms, weights)
-                total = sample_total if total is None else total + sample_total
-            total = total * (1.0 / len(batch))
-            value = float(total.data)
-            if not np.isfinite(value):
-                raise RuntimeError(f"non-finite loss at step {step}")
-            if step == 0:
-                result.initial_loss = value
-            opt.zero_grad()
-            total.backward()
-            opt.step()
-            result.trace.append([step, epoch, cur_lr, value]
-                                + [term_values[n] for n in LOSS_TERMS])
-            result.final_loss = value
-            step += 1
+    thresholds = gc.get_threshold()
+    gc.set_threshold(100_000, *thresholds[1:])
+    try:
+        for epoch in range(epochs):
+            cur_lr = lr if schedule == "none" else lr_schedule(epoch, base_lr=lr)
+            opt.lr = cur_lr
+            for start in range(0, len(dataset), batch_size):
+                batch = dataset[start:start + batch_size]
+                total = None
+                term_values = {name: 0.0 for name in LOSS_TERMS}
+                for sample in batch:
+                    terms = loss_terms(net.forward(Tensor(sample.image)), sample)
+                    for name in LOSS_TERMS:
+                        term_values[name] += float(terms[name].data) / len(batch)
+                    sample_total = weighted_sum(terms, weights)
+                    total = sample_total if total is None else total + sample_total
+                total = total * (1.0 / len(batch))
+                value = float(total.data)
+                if not np.isfinite(value):
+                    raise RuntimeError(f"non-finite loss at step {step}")
+                if step == 0:
+                    result.initial_loss = value
+                opt.zero_grad()
+                total.backward()
+                opt.step()
+                result.trace.append([step, epoch, cur_lr, value]
+                                    + [term_values[n] for n in LOSS_TERMS])
+                result.final_loss = value
+                step += 1
+    finally:
+        gc.set_threshold(*thresholds)
     return result
 
 

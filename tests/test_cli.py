@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -26,9 +28,10 @@ def trained(tmp_path_factory):
     return out
 
 
-GRADCHECK_NAMES = ["matmul", "elementwise", "reduce", "conv2d", "layernorm", "softmax",
-                   "grid_sample", "non_local", "mlp", "selective_scan", "vmblock",
-                   "soft_argmax", "rodrigues", "lbs", "loss", "end_to_end"]
+GRADCHECK_NAMES = ["matmul", "linear", "elementwise", "abs", "reduce", "conv2d", "conv1d",
+                   "layernorm", "softmax", "grid_sample", "non_local", "mlp",
+                   "selective_scan", "vmblock", "soft_argmax", "rodrigues", "lbs", "loss",
+                   "end_to_end"]
 
 
 def test_gradcheck_reports_every_op_once(capsys):
@@ -84,6 +87,20 @@ def test_eval_trained_checkpoint(trained, tmp_path, capsys):
     got = capsys.readouterr().out
     assert "mpjpe_single" in got
     assert (out / "metrics.csv").exists()
+
+
+def test_eval_stdout_row_quotes_split_like_metrics_csv(trained, tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert run(["--out", str(out), "--seed", "3", "eval", "--split", "x,y",
+                "--checkpoint", str(trained / "model.ckpt"),
+                "--data", str(trained / "dataset.bin")]) == 0
+    printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    written = list(csv.reader(io.StringIO((out / "metrics.csv").read_text())))
+    assert [len(row) for row in printed] == [7, 7]
+    assert printed[0] == written[0] == list(cli.tr.METRICS_HEADER)
+    assert printed[1][0] == written[1][0] == "x,y"
+    np.testing.assert_allclose([float(v) for v in printed[1][1:]],
+                               [float(v) for v in written[1][1:]], rtol=0, atol=5e-7)
 
 
 def test_eval_corrupted_magic(trained, tmp_path, capsys):

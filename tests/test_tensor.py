@@ -176,7 +176,17 @@ def test_getitem_backward_scatters():
     npt.assert_array_equal(x.grad, [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
 
 
-def test_concat_stack_pad_gradients():
+@pytest.mark.parametrize("key", [(slice(1, None), slice(None, None, 2)),
+                                 (np.array([2, 0, 2, 2]), slice(1, 3))],
+                         ids=["slices", "repeated_fancy"])
+def test_getitem_gradients(key):
+    rng = np.random.default_rng(37)
+    x = T.Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
+    w = T.Tensor(rng.uniform(-1, 1, x.data[key].shape))
+    assert fd_check(lambda: (x[key] * w).sum(), [x]) <= 1e-6
+
+
+def test_concat_stack_gradients():
     rng = np.random.default_rng(31)
     a = T.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
     b = T.Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
@@ -184,7 +194,6 @@ def test_concat_stack_pad_gradients():
     assert fd_check(lambda: (T.concat([a, b], axis=1) * w).sum(), [a, b]) <= 1e-6
     ws = T.Tensor(rng.uniform(-1, 1, (2, 2, 3)))
     assert fd_check(lambda: (T.stack([a, a * 2.0]) * ws).sum(), [a]) <= 1e-6
-    assert fd_check(lambda: T.pad(a, [(1, 0), (0, 2)]).sum(), [a]) <= 1e-6
 
 
 def test_bmm_matches_loop_and_fd():
@@ -239,7 +248,8 @@ def test_toy_graph_is_freed_by_reference_counting():
         root = tr.loss(pred, sample)
         root.backward()
         nodes = T._toposort(root)
-        assert len(nodes) > 1000
+        tags = {n._op for n in nodes}
+        assert {"layernorm", "softmax", "conv1d", "abs", "linear", "scan", "conv2d"} <= tags
         captured = [n._op for n in nodes
                     if n._backward is not None and _closes_over(n._backward, n)]
         assert captured == []

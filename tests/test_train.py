@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -359,6 +361,24 @@ def test_param_counter_matches_checkpoint_enumeration(tmp_path):
 
 def train_config(**over):
     return small_config(joints=21, **over)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_train_loop_restores_gc_thresholds(monkeypatch):
+    cfg = train_config(seed=6)
+    net = BimanualHandNet(cfg)
+    data = tr.synth_dataset(cfg, net.rig, 1, seed=1)
+    before = gc.get_threshold()
+    during = []
+    loss_terms = tr.loss_terms
+    monkeypatch.setattr(tr, "loss_terms",
+                        lambda *a: during.append(gc.get_threshold()) or loss_terms(*a))
+    tr.train_loop(net, data, epochs=1, batch_size=1, lr=1e-3)
+    assert gc.get_threshold() == before
+    assert during[0][0] > before[0]
+    with pytest.raises(RuntimeError, match="non-finite loss"):
+        tr.train_loop(net, data, epochs=3, batch_size=1, lr=1e300)
+    assert gc.get_threshold() == before
 
 
 def test_train_zero_lr_keeps_loss_constant():
