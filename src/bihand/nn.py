@@ -63,14 +63,14 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def __call__(self, x):
-        if x.shape[-1] != self.in_features:
-            raise ValueError(f"linear expects width {self.in_features}, got {x.shape}")
         return linear(x, self.weight, self.bias)
 
 
 def linear(x, weight, bias):
     """x[..., in] @ weight[in,out] + bias[out] as one graph node."""
     n_in, n_out = weight.shape
+    if x.shape[-1] != n_in:
+        raise ValueError(f"linear expects width {n_in}, got {x.shape}")
     flat = x.data.reshape(-1, n_in)
     out_data = (flat @ weight.data + bias.data).reshape(x.shape[:-1] + (n_out,))
 
