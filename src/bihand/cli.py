@@ -401,10 +401,14 @@ def cmd_bench_scan(args):
         c = rng.uniform(-1, 1, (seq, state))
         d = rng.uniform(-1, 1, ch)
         x = rng.uniform(-1, 1, (seq, ch))
-        coeffs = ssm.ScanCoeffs(Tensor(delta), Tensor(a), Tensor(b), Tensor(c), Tensor(d))
+        coeffs = ssm.ScanCoeffs(*(Tensor(v, requires_grad=True) for v in (delta, a, b, c, d)))
         t0 = time.perf_counter()
-        y_scan = ssm.selective_scan(coeffs, Tensor(x))
+        y_scan = ssm.selective_scan(coeffs, Tensor(x, requires_grad=True))
         scan_s = time.perf_counter() - t0
+        loss = y_scan.sum()
+        t0 = time.perf_counter()
+        loss.backward()  # the scan's rule receives a gradient of ones
+        backward_s = time.perf_counter() - t0
         if seq <= args.dense_cap:
             t0 = time.perf_counter()
             y_dense = ssm.dense_scan_reference(delta, a, b, c, d, x)
@@ -412,16 +416,18 @@ def cmd_bench_scan(args):
             gap = float(np.max(np.abs(y_scan.data - y_dense)))
         else:
             dense_s, gap = float("nan"), float("nan")
-        rows.append((seq, ssm.scan_flops(seq, ch, state),
-                     ssm.dense_scan_flops(seq, ch, state), scan_s, dense_s, gap))
+        rows.append((seq, ssm.scan_flops(seq, ch, state), ssm.dense_scan_flops(seq, ch, state),
+                     scan_s, backward_s, dense_s, gap))
     path = out_dir / "bench_scan.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("seq,scan_flops,dense_flops,scan_seconds,dense_seconds,max_abs_gap\n")
+        fh.write("seq,scan_flops,dense_flops,scan_seconds,scan_backward_seconds,"
+                 "dense_seconds,max_abs_gap\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
     for row in rows:
+        dense = "skipped" if np.isnan(row[5]) else f"{row[5]:.4f}s"
         print(f"seq={row[0]:6d} scan_flops={row[1]:>12d} dense_flops={row[2]:>14d} "
-              f"scan={row[3]:.4f}s dense={row[4]:.4f}s")
+              f"scan={row[3]:.4f}s backward={row[4]:.4f}s dense={dense}")
     print(f"wrote {path}")
     return 0
 
@@ -505,7 +511,7 @@ def build_parser():
 
     p = sub.add_parser("bench-scan", help="scan vs dense-operator cost comparison")
     p.add_argument("--seq-lengths", type=_positive_int_list, default="256,512,1024,2048")
-    p.add_argument("--dense-cap", type=int, default=2048,
+    p.add_argument("--dense-cap", type=_non_negative_int, default=2048,
                    help="skip dense timing above this length (memory)")
     p.set_defaults(fn=cmd_bench_scan)
 

@@ -39,7 +39,12 @@ class ScanCoeffs:
 
 
 def selective_scan(coeffs, x):
-    """Run the recurrence over x[seq, channels]; differentiable in all inputs."""
+    """Run the recurrence over x[seq, channels]; differentiable in all inputs.
+
+    In each direction the Python loop over the sequence carries only the
+    recurrence, two in-place array ops per step; every other term is one
+    whole-array pass, and the backward shares its products between gradients.
+    """
     delta, a, b, c, d_skip = coeffs.delta, coeffs.a, coeffs.b, coeffs.c, coeffs.d_skip
     seq, ch = x.shape
     state = a.shape[1]
@@ -53,40 +58,43 @@ def selective_scan(coeffs, x):
         raise RuntimeError("selective_scan requires strictly positive delta "
                            "(softplus upstream should guarantee this)")
 
-    abar = np.exp(delta.data[:, :, None] * a.data[None, :, :])       # [T, C, S]
-    binc = delta.data[:, :, None] * b.data[:, None, :] * x.data[:, :, None]
-    hs = np.empty((seq, ch, state))
-    h = np.zeros((ch, state))
-    for t in range(seq):
-        h = abar[t] * h + binc[t]
-        hs[t] = h
+    # einsum forms the outer products: the same products as broadcasting,
+    # whose inner loop runs over the short state axis and took ~1.5x as long
+    abar = np.einsum("td,ds->tds", delta.data, a.data)  # decay factors [T, C, S]
+    np.exp(abar, out=abar)
+    hs = np.einsum("td,ts->tds", delta.data, b.data)    # input term, then the states
+    hs *= x.data[:, :, None]
+    step = np.empty((ch, state))
+    for t in range(1, seq):
+        np.multiply(abar[t], hs[t - 1], out=step)
+        hs[t] += step
     y = np.einsum("ts,tds->td", c.data, hs) + d_skip.data[None, :] * x.data
 
     def bw(gy):
-        gh = np.zeros((ch, state))
-        dabar = np.empty_like(abar)
-        dbinc = np.empty_like(abar)
-        for t in range(seq - 1, -1, -1):
-            gh = gh + gy[t, :, None] * c.data[t, None, :]
-            dabar[t] = gh * hs[t - 1] if t > 0 else 0.0
-            dbinc[t] = gh
-            gh = gh * abar[t]
+        gh = np.einsum("td,ts->tds", gy, c.data)  # becomes dL/dh_t in the reverse loop
+        for t in range(seq - 2, -1, -1):
+            np.multiply(abar[t + 1], gh[t + 1], out=step)
+            gh[t] += step
+        if x.requires_grad or delta.requires_grad:
+            gb = np.einsum("tds,ts->td", gh, b.data)
         if x.requires_grad:
-            dx = np.einsum("tds,td,ts->td", dbinc, delta.data, b.data)
-            dx += gy * d_skip.data[None, :]
-            _accum(x, dx)
-        if delta.requires_grad:
-            dd = np.einsum("tds,tds,ds->td", dabar, abar, a.data)
-            dd += np.einsum("tds,ts,td->td", dbinc, b.data, x.data)
-            _accum(delta, dd)
-        if a.requires_grad:
-            _accum(a, np.einsum("tds,tds,td->ds", dabar, abar, delta.data))
+            _accum(x, gb * delta.data + gy * d_skip.data[None, :])
         if b.requires_grad:
-            _accum(b, np.einsum("tds,td,td->ts", dbinc, delta.data, x.data))
+            _accum(b, np.einsum("tds,td->ts", gh, delta.data * x.data))
         if c.requires_grad:
             _accum(c, np.einsum("td,tds->ts", gy, hs))
         if d_skip.requires_grad:
             _accum(d_skip, np.einsum("td,td->d", gy, x.data))
+        if delta.requires_grad or a.requires_grad:
+            q = gh[1:]  # gh is spent: q becomes dL/d(delta_t * a) for t >= 1, zero at t = 0
+            q *= hs[:-1]
+            q *= abar[1:]
+            if delta.requires_grad:
+                dd = gb * x.data
+                dd[1:] += np.einsum("tds,ds->td", q, a.data)
+                _accum(delta, dd)
+            if a.requires_grad:
+                _accum(a, np.einsum("tds,td->ds", q, delta.data[1:]))
     return graph_op(y, (x, delta, a, b, c, d_skip), "scan", bw)
 
 

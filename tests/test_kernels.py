@@ -1,16 +1,18 @@
 """Single-node kernels against the composites of elementwise ops they replace.
 
 Each oracle below builds its layer out of recorded primitives, one graph node
-per elementwise step. The kernel must give the same forward bits and the
-same gradients to 1e-12 relative (the backward formulas differ, so rounding
-may differ in the last places).
+per elementwise step, except ``scan_loop_oracle``: the selective scan's
+earlier single-node kernel, which steps the whole forward and backward
+update through a Python loop over the sequence. The kernel must give the
+same forward bits and the same gradients to 1e-12 relative (the backward
+formulas differ, so rounding may differ in the last places).
 """
 
 import numpy as np
 import pytest
 
 from bihand import nn, ssm
-from bihand.tensor import Tensor, concat, matmul, reshape
+from bihand.tensor import Tensor, _accum, concat, graph_op, matmul, reshape
 
 
 def layer_norm_oracle(x, gamma, beta, axes, eps):
@@ -50,6 +52,47 @@ def linear_oracle(x, weight, bias):
     flat = x if x.ndim == 2 else reshape(x, (1, n_in))
     out = matmul(flat, weight) + bias
     return out if x.ndim == 2 else reshape(out, (n_out,))
+
+
+def scan_loop_oracle(coeffs, x):
+    delta, a, b, c, d_skip = coeffs.delta, coeffs.a, coeffs.b, coeffs.c, coeffs.d_skip
+    seq, ch = x.shape
+    state = a.shape[1]
+    abar = np.exp(delta.data[:, :, None] * a.data[None, :, :])
+    binc = delta.data[:, :, None] * b.data[:, None, :] * x.data[:, :, None]
+    hs = np.empty((seq, ch, state))
+    h = np.zeros((ch, state))
+    for t in range(seq):
+        h = abar[t] * h + binc[t]
+        hs[t] = h
+    y = np.einsum("ts,tds->td", c.data, hs) + d_skip.data[None, :] * x.data
+
+    def bw(gy):
+        gh = np.zeros((ch, state))
+        dabar = np.empty_like(abar)
+        dbinc = np.empty_like(abar)
+        for t in range(seq - 1, -1, -1):
+            gh = gh + gy[t, :, None] * c.data[t, None, :]
+            dabar[t] = gh * hs[t - 1] if t > 0 else 0.0
+            dbinc[t] = gh
+            gh = gh * abar[t]
+        if x.requires_grad:
+            dx = np.einsum("tds,td,ts->td", dbinc, delta.data, b.data)
+            dx += gy * d_skip.data[None, :]
+            _accum(x, dx)
+        if delta.requires_grad:
+            dd = np.einsum("tds,tds,ds->td", dabar, abar, a.data)
+            dd += np.einsum("tds,ts,td->td", dbinc, b.data, x.data)
+            _accum(delta, dd)
+        if a.requires_grad:
+            _accum(a, np.einsum("tds,tds,td->ds", dabar, abar, delta.data))
+        if b.requires_grad:
+            _accum(b, np.einsum("tds,td,td->ts", dbinc, delta.data, x.data))
+        if c.requires_grad:
+            _accum(c, np.einsum("td,tds->ts", gy, hs))
+        if d_skip.requires_grad:
+            _accum(d_skip, np.einsum("td,td->d", gy, x.data))
+    return graph_op(y, (x, delta, a, b, c, d_skip), "scan", bw)
 
 
 def _leaf(rng, shape, lo=-2.0, hi=2.0):
@@ -94,6 +137,20 @@ def _linear_case(x_shape):
     return build
 
 
+def _scan_case(seq, ch, state, x_grad=True, coeff_grad=True):
+    def build(rng):
+        x = Tensor(rng.uniform(-1, 1, (seq, ch)), requires_grad=x_grad)
+        coeffs = ssm.ScanCoeffs(*(Tensor(v, requires_grad=coeff_grad) for v in (
+            rng.uniform(0.01, 0.3, (seq, ch)), -rng.uniform(0.5, 4.0, (ch, state)),
+            rng.uniform(-1, 1, (seq, state)), rng.uniform(-1, 1, (seq, state)),
+            rng.uniform(-1, 1, ch))))
+        leaves = [t for t in (x, coeffs.delta, coeffs.a, coeffs.b, coeffs.c, coeffs.d_skip)
+                  if t.requires_grad]
+        return (lambda: ssm.selective_scan(coeffs, x),
+                lambda: scan_loop_oracle(coeffs, x), leaves)
+    return build
+
+
 CASES = {
     "layernorm_trailing": _layernorm_case((-1,), (3, 6), 6),
     "layernorm_trailing_1d": _layernorm_case((-1,), (6,), 6),
@@ -105,6 +162,11 @@ CASES = {
     "abs": _abs_case,
     "linear_2d": _linear_case((5, 4)),
     "linear_1d": _linear_case((4,)),
+    **{f"scan_{seq}x{ch}x{state}": _scan_case(seq, ch, state)
+       for seq, ch, state in ((1, 2, 3), (2, 1, 1), (5, 2, 3), (21, 32, 8), (64, 64, 8),
+                              (256, 64, 8))},
+    "scan_only_x_grad": _scan_case(5, 2, 3, coeff_grad=False),
+    "scan_only_coeff_grad": _scan_case(5, 2, 3, x_grad=False),
 }
 
 
