@@ -101,7 +101,8 @@ def _check_reduce(rng):
 def _check_conv2d(rng):
     layer = Conv2dLayer(2, 3, 3, stride=2, padding=1, rng=rng)
     x = Tensor(rng.uniform(-2, 2, (2, 5, 5)), requires_grad=True)
-    return _probed(rng, lambda: layer(x), [x, layer.weight, layer.bias])
+    point = Conv2dLayer(2, 3, 1, rng=rng)  # 1x1: im2col is a view of x
+    return max(_probed(rng, lambda: m(x), [x, m.weight, m.bias]) for m in (layer, point))
 
 
 @_gradcheck("conv1d", 83)
@@ -303,9 +304,6 @@ def load_dataset(path, config):
     expected = [("meta/count", ())] + [(f"s{i:05d}/{fname}", shape) for i in range(int(n))
                                        for fname, shape in shapes.items()]
     check_records(records, expected, "dataset")
-    for key, data in records:
-        if not np.all(np.isfinite(data)):
-            raise ValueError(f"dataset record {key!r} holds a non-finite value")
     values = [data for _, data in records[1:]]
     return [tr.TrainingSample(**dict(zip(shapes, values[i:i + len(shapes)])))
             for i in range(0, len(values), len(shapes))]
@@ -401,21 +399,22 @@ def cmd_bench_scan(args):
         c = rng.uniform(-1, 1, (seq, state))
         d = rng.uniform(-1, 1, ch)
         x = rng.uniform(-1, 1, (seq, ch))
-        coeffs = ssm.ScanCoeffs(*(Tensor(v, requires_grad=True) for v in (delta, a, b, c, d)))
-        t0 = time.perf_counter()
-        y_scan = ssm.selective_scan(coeffs, Tensor(x, requires_grad=True))
-        scan_s = time.perf_counter() - t0
-        loss = y_scan.sum()
-        t0 = time.perf_counter()
-        loss.backward()  # the scan's rule receives a gradient of ones
-        backward_s = time.perf_counter() - t0
-        if seq <= args.dense_cap:
+        for _ in range(2):  # the first, untimed pass warms the caches and allocator
+            coeffs = ssm.ScanCoeffs(*(Tensor(v, requires_grad=True) for v in (delta, a, b, c, d)))
             t0 = time.perf_counter()
-            y_dense = ssm.dense_scan_reference(delta, a, b, c, d, x)
-            dense_s = time.perf_counter() - t0
-            gap = float(np.max(np.abs(y_scan.data - y_dense)))
-        else:
-            dense_s, gap = float("nan"), float("nan")
+            y_scan = ssm.selective_scan(coeffs, Tensor(x, requires_grad=True))
+            scan_s = time.perf_counter() - t0
+            loss = y_scan.sum()
+            t0 = time.perf_counter()
+            loss.backward()  # the scan's rule receives a gradient of ones
+            backward_s = time.perf_counter() - t0
+            if seq <= args.dense_cap:
+                t0 = time.perf_counter()
+                y_dense = ssm.dense_scan_reference(delta, a, b, c, d, x)
+                dense_s = time.perf_counter() - t0
+                gap = float(np.max(np.abs(y_scan.data - y_dense)))
+            else:
+                dense_s, gap = float("nan"), float("nan")
         rows.append((seq, ssm.scan_flops(seq, ch, state), ssm.dense_scan_flops(seq, ch, state),
                      scan_s, backward_s, dense_s, gap))
     path = out_dir / "bench_scan.csv"

@@ -90,6 +90,7 @@ def conv2d_raw(x, weight, bias, stride=1, padding=0):
 
     im2col inside a single graph node; the backward rule is the standard
     col2im scatter. Output spatial size is floor((in + 2*pad - k)/stride) + 1.
+    A 1x1, stride-1, unpadded kernel skips both, since there both are identities.
     """
     cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
@@ -103,11 +104,16 @@ def conv2d_raw(x, weight, bias, stride=1, padding=0):
     ow = (w + 2 * p - kw) // s + 1
 
     xp = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = np.ascontiguousarray(
-        win[:, ::s, ::s].transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, oh * ow)
+    pointwise = kh == kw == s == 1 and p == 0
+    if pointwise:
+        cols = xp.reshape(cin, h * w)
+    else:
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+        cols = np.ascontiguousarray(
+            win[:, ::s, ::s].transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, oh * ow)
     w2 = weight.data.reshape(cout, cin * kh * kw)
-    out_data = (w2 @ cols + bias.data[:, None]).reshape(cout, oh, ow)
+    out_data = w2 @ cols
+    out_data += bias.data[:, None]
 
     def bw(grad):
         g2 = grad.reshape(cout, oh * ow)
@@ -115,14 +121,16 @@ def conv2d_raw(x, weight, bias, stride=1, padding=0):
             _accum(bias, g2.sum(axis=1))
         if weight.requires_grad:
             _accum(weight, (g2 @ cols.T).reshape(weight.shape))
-        if x.requires_grad:
+        if x.requires_grad and pointwise:
+            _accum(x, (w2.T @ g2).reshape(x.shape))
+        elif x.requires_grad:
             dcols = (w2.T @ g2).reshape(cin, kh, kw, oh, ow)
             dxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]
             _accum(x, dxp[:, p:p + h, p:p + w] if p else dxp)
-    return graph_op(out_data, (x, weight, bias), "conv2d", bw)
+    return graph_op(out_data.reshape(cout, oh, ow), (x, weight, bias), "conv2d", bw)
 
 
 class Conv2dLayer(Module):
@@ -177,16 +185,17 @@ def layer_norm(x, gamma, beta, axes, eps):
 
     The backward rule is the closed form of Ba et al. 2016: with
     gx = grad * gamma, dx = (gx - mean(gx) - xhat * mean(gx * xhat)) / sigma.
+    Each pass works in place in two full-size arrays, with the plain formulas' bits.
     """
     axes = tuple(sorted(a % x.ndim for a in axes))
     trailing = axes == (x.ndim - 1,)
     shape = gamma.shape if trailing else gamma.shape + (1, 1)
-    mu = x.data.mean(axis=axes, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=axes, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    xhat = centered / sigma
-    out_data = xhat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+    xhat = x.data - x.data.mean(axis=axes, keepdims=True)
+    out_data = xhat * xhat
+    sigma = np.sqrt(out_data.mean(axis=axes, keepdims=True) + eps)
+    xhat /= sigma
+    np.multiply(xhat, gamma.data.reshape(shape), out=out_data)
+    out_data += beta.data.reshape(shape)
 
     def bw(grad):
         # the normalized axes trail, so each normalized group is one row of a
@@ -195,9 +204,11 @@ def layer_norm(x, gamma, beta, axes, eps):
         n = xhat.size // sigma.size
         g2, xh = grad.reshape(-1, n), xhat.reshape(-1, n)
         if x.requires_grad:
-            gx = (grad * gamma.data.reshape(shape)).reshape(-1, n)
-            dx = (gx - gx.mean(axis=1, keepdims=True)
-                  - xh * (gx * xh).mean(axis=1, keepdims=True)) / sigma.reshape(-1, 1)
+            dx = (grad * gamma.data.reshape(shape)).reshape(-1, n)
+            t = dx * xh
+            dx -= dx.mean(axis=1, keepdims=True)
+            dx -= np.multiply(xh, t.mean(axis=1, keepdims=True), out=t)
+            dx /= sigma.reshape(-1, 1)
             _accum(x, dx.reshape(x.shape))
         across = 0 if trailing else 1
         if gamma.requires_grad:

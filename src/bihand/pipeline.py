@@ -429,14 +429,16 @@ def build_rig(config):
 
 def check_records(records, expected, what):
     """Check (name, array) ``records`` in order against (name, shape) pairs:
-    a ValueError names the first record whose name or shape differs, and only
-    then are the counts compared. ``what`` names the file kind."""
+    a ValueError names the first record whose name or shape differs or that
+    holds NaN or inf; only then are the counts compared. ``what`` names the file kind."""
     for (name, data), (want, shape) in zip(records, expected):
         if name != want:
             raise ValueError(f"{what} mismatch at record {name!r}: expected {want!r}")
         if data.shape != shape:
             raise ValueError(f"{what} mismatch at record {name!r}: "
                              f"shape {data.shape}, expected {shape}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"{what} record {name!r} holds a non-finite value")
     if len(records) != len(expected):
         raise ValueError(f"{what} holds {len(records)} records, expected {len(expected)}")
 

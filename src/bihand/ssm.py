@@ -54,7 +54,7 @@ def selective_scan(coeffs, x):
         raise ValueError(f"b/c must be [{seq}, {state}], got {b.shape} and {c.shape}")
     if a.shape[0] != ch or d_skip.shape != (ch,):
         raise ValueError(f"a {a.shape} / d_skip {d_skip.shape} disagree with {ch} channels")
-    if np.any(delta.data <= 0.0):
+    if not np.all(delta.data > 0.0):  # NaN fails this comparison too
         raise RuntimeError("selective_scan requires strictly positive delta "
                            "(softplus upstream should guarantee this)")
 

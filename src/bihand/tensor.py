@@ -63,12 +63,12 @@ def _contig(a):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, both from exp(-|x|)
+    with no mask; the bits are the per-sign formulas' (a NaN's sign may differ)."""
+    e = np.exp(-np.abs(x))
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def _unbroadcast(grad, shape):

@@ -317,8 +317,8 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
 
     ``schedule`` is "none" (constant lr) or "step" (decay 0.1x at epochs 10
     and 15 from ``lr``). Aborts with the step index if the loss goes
-    non-finite. Per-sample losses are averaged inside one graph so gradient
-    accumulation is merged in sample order.
+    non-finite, or if a NaN stops the scan first. Per-sample losses are
+    averaged inside one graph so gradient accumulation is merged in sample order.
 
     Graphs hold no reference cycles, so the cyclic collector frees nothing
     here; its generation-0 threshold is raised while the loop runs, and the
@@ -348,7 +348,10 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
                 total = None
                 term_values = {name: 0.0 for name in LOSS_TERMS}
                 for sample in batch:
-                    terms = loss_terms(net.forward(Tensor(sample.image)), sample)
+                    try:
+                        terms = loss_terms(net.forward(Tensor(sample.image)), sample)
+                    except RuntimeError as exc:  # the scan rejects NaN before the loss sees it
+                        raise RuntimeError(f"non-finite loss at step {step}: {exc}") from exc
                     for name in LOSS_TERMS:
                         term_values[name] += float(terms[name].data) / len(batch)
                     sample_total = weighted_sum(terms, weights)

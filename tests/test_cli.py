@@ -141,6 +141,23 @@ def test_eval_mismatched_checkpoint_names_record(trained, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_eval_non_finite_checkpoint_is_named_error(trained, tmp_path, capsys, value):
+    bad = tmp_path / "bad.ckpt"
+    name = "backbone.stage0.conv.weight"
+    weight = dict(load_checkpoint(trained / "model.ckpt"))[name].copy()
+    weight[0, 0, 1, 1] = value
+    write_dataset_with(trained / "model.ckpt", bad, name, weight)
+    code = run(["--out", str(tmp_path / "o"), "--seed", "3", "eval",
+                "--checkpoint", str(bad), "--data", str(trained / "dataset.bin")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"checkpoint record {name!r} holds a non-finite value" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_eval_empty_dataset_is_explicit_error(trained, tmp_path, capsys):
     empty = tmp_path / "empty.bin"
     cli.save_dataset(empty, [])
@@ -151,8 +168,8 @@ def test_eval_empty_dataset_is_explicit_error(trained, tmp_path, capsys):
 
 
 def write_dataset_with(src, path, name, value):
-    """Copy of the dataset ``src`` with record ``name`` replaced by ``value``,
-    or dropped when ``value`` is None."""
+    """Copy of the dataset (or checkpoint) ``src`` with record ``name``
+    replaced by ``value``, or dropped when ``value`` is None."""
     records = load_checkpoint(src)
     save_checkpoint(path, [(n, Tensor(value if n == name else arr)) for n, arr in records
                            if n != name or value is not None])
@@ -369,10 +386,13 @@ def test_train_toy_divergence_leaves_no_out(tmp_path, capsys):
 
 
 def test_benchmark_hooks_resolve():
-    """The benchmark driver looks up package names no other test reaches."""
+    """The benchmark driver looks up package names no other test reaches.
+    Only training reaches ``Adam.step``, ``loss_terms``, ``Tensor.backward``
+    and the shapes ``conv2d_raw`` and ``selective_scan`` see under grad."""
     root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "infer_toy",
-                           "--seconds", "1", "--trace", "1"],
-                          cwd=root, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1])["failed"] == 0
+    for workload in ("infer_toy", "train_toy"):
+        proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                               "--seconds", "1", "--trace", "1"],
+                              cwd=root, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1])["failed"] == 0

@@ -1,18 +1,20 @@
 """Single-node kernels against the composites of elementwise ops they replace.
 
 Each oracle below builds its layer out of recorded primitives, one graph node
-per elementwise step, except ``scan_loop_oracle``: the selective scan's
-earlier single-node kernel, which steps the whole forward and backward
-update through a Python loop over the sequence. The kernel must give the
-same forward bits and the same gradients to 1e-12 relative (the backward
-formulas differ, so rounding may differ in the last places).
+per elementwise step, except two earlier single-node kernels:
+``scan_loop_oracle``, the selective scan that steps the whole forward and
+backward update through a Python loop over the sequence, and
+``conv2d_im2col_oracle``, the convolution that runs im2col and col2im for
+every kernel size. The kernel must give the same forward bits and the same
+gradients to 1e-12 relative (the backward formulas differ, so rounding may
+differ in the last places).
 """
 
 import numpy as np
 import pytest
 
 from bihand import nn, ssm
-from bihand.tensor import Tensor, _accum, concat, graph_op, matmul, reshape
+from bihand.tensor import Tensor, _accum, _sigmoid, concat, graph_op, matmul, reshape
 
 
 def layer_norm_oracle(x, gamma, beta, axes, eps):
@@ -95,6 +97,50 @@ def scan_loop_oracle(coeffs, x):
     return graph_op(y, (x, delta, a, b, c, d_skip), "scan", bw)
 
 
+def conv2d_im2col_oracle(x, weight, bias, stride=1, padding=0):
+    cin, h, w = x.shape
+    cout, cin_w, kh, kw = weight.shape
+    if cin != cin_w:
+        raise ValueError(f"conv2d channel mismatch: input {x.shape} vs weight {weight.shape}")
+    if h + 2 * padding < kh or w + 2 * padding < kw:
+        raise ValueError(f"conv2d spatial dims {x.shape} too small for kernel {weight.shape} "
+                         f"with padding {padding}")
+    s, p = stride, padding
+    oh = (h + 2 * p - kh) // s + 1
+    ow = (w + 2 * p - kw) // s + 1
+
+    xp = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = np.ascontiguousarray(
+        win[:, ::s, ::s].transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, oh * ow)
+    w2 = weight.data.reshape(cout, cin * kh * kw)
+    out_data = (w2 @ cols + bias.data[:, None]).reshape(cout, oh, ow)
+
+    def bw(grad):
+        g2 = grad.reshape(cout, oh * ow)
+        if bias.requires_grad:
+            _accum(bias, g2.sum(axis=1))
+        if weight.requires_grad:
+            _accum(weight, (g2 @ cols.T).reshape(weight.shape))
+        if x.requires_grad:
+            dcols = (w2.T @ g2).reshape(cin, kh, kw, oh, ow)
+            dxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]
+            _accum(x, dxp[:, p:p + h, p:p + w] if p else dxp)
+    return graph_op(out_data, (x, weight, bias), "conv2d", bw)
+
+
+def masked_sigmoid_oracle(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def _leaf(rng, shape, lo=-2.0, hi=2.0):
     return Tensor(rng.uniform(lo, hi, shape), requires_grad=True)
 
@@ -151,6 +197,15 @@ def _scan_case(seq, ch, state, x_grad=True, coeff_grad=True):
     return build
 
 
+def _conv2d_case(cin, cout, k, stride, padding, size):
+    def build(rng):
+        x, b = _leaf(rng, (cin, size, size)), _leaf(rng, cout, -1, 1)
+        w = _leaf(rng, (cout, cin, k, k), -1, 1)
+        return (lambda: nn.conv2d_raw(x, w, b, stride, padding),
+                lambda: conv2d_im2col_oracle(x, w, b, stride, padding), [x, w, b])
+    return build
+
+
 CASES = {
     "layernorm_trailing": _layernorm_case((-1,), (3, 6), 6),
     "layernorm_trailing_1d": _layernorm_case((-1,), (6,), 6),
@@ -167,6 +222,8 @@ CASES = {
                               (256, 64, 8))},
     "scan_only_x_grad": _scan_case(5, 2, 3, coeff_grad=False),
     "scan_only_coeff_grad": _scan_case(5, 2, 3, x_grad=False),
+    "conv2d_pointwise": _conv2d_case(4, 5, 1, 1, 0, 6),
+    "conv2d_strided": _conv2d_case(3, 4, 3, 2, 1, 7),
 }
 
 
@@ -186,3 +243,12 @@ def test_kernel_matches_composite_oracle(name):
     probe = Tensor(rng.uniform(-1, 1, want.shape))
     for g, w in zip(_grads(kernel, leaves, probe), _grads(oracle, leaves, probe)):
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_sigmoid_matches_masked_formula_bitwise():
+    special = np.array([0.0, np.inf, 5e-324, 1e-300, 36.0, 709.0, 745.5, 800.0])
+    x = np.concatenate([np.random.default_rng(37).standard_normal(4096), special, -special])
+    got = _sigmoid(x)
+    assert got.dtype == x.dtype and got.tobytes() == masked_sigmoid_oracle(x).tobytes()
+    assert _sigmoid(np.array(-3.0)).tobytes() == masked_sigmoid_oracle(np.array(-3.0)).tobytes()
+    assert np.all(np.isnan(_sigmoid(np.array([np.nan, -np.nan]))))

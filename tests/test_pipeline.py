@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -537,3 +538,15 @@ def test_checkpoint_mismatch_names_record(tmp_path):
     other.save_checkpoint(path)
     with pytest.raises(ValueError, match="record"):
         net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_non_finite_record_names_record(tmp_path, value):
+    net = pl.BimanualHandNet(small_config())
+    name, param = net.params()[4]
+    param.data.flat[1] = value
+    path = tmp_path / "a.ckpt"
+    net.save_checkpoint(path)
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint record {name!r} holds a "
+                                                   "non-finite value")):
+        pl.BimanualHandNet(small_config()).load_checkpoint(path)

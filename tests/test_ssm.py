@@ -87,6 +87,15 @@ def test_scan_rejects_nonpositive_delta():
         ssm.selective_scan(coeffs, Tensor(np.zeros((4, 2))))
 
 
+@pytest.mark.parametrize("value", [np.nan, 0.0, -0.0, -0.05, -np.inf])
+def test_scan_rejects_nan_zero_or_negative_delta(value):
+    rng = np.random.default_rng(13)
+    coeffs = random_coeffs(rng, 4, 2, 3)
+    coeffs.delta.data[1, 0] = value
+    with pytest.raises(RuntimeError, match="requires strictly positive delta"):
+        ssm.selective_scan(coeffs, Tensor(np.zeros((4, 2))))
+
+
 def test_scan_linear_in_input_for_frozen_coeffs():
     rng = np.random.default_rng(17)
     coeffs = random_coeffs(rng, 8, 3, 4)
