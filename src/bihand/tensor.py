@@ -25,10 +25,13 @@ from outputs to inputs, so a graph has no reference cycle and is freed by
 reference counting as soon as its root goes out of scope.
 """
 
+import contextlib
+
 import numpy as np
 
 _grad_enabled = True
 _corrupt_op = None
+_op_observer = None
 
 
 class no_grad:
@@ -44,6 +47,20 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
+
+
+@contextlib.contextmanager
+def observe_ops(fn):
+    """Call ``fn(op_tag, out_data, parents)`` from ``graph_op`` for every op run
+    inside the block, under grad or no_grad; ``parents`` are the op's input
+    tensors. The previous observer comes back on exit, also when the block raises."""
+    global _op_observer
+    prev = _op_observer
+    _op_observer = fn
+    try:
+        yield
+    finally:
+        _op_observer = prev
 
 
 def set_gradient_corruption(op_tag):
@@ -246,6 +263,8 @@ def graph_op(data, parents, op_tag, backward):
     so pure evaluation does no work for them.
     """
     out = Tensor(data)
+    if _op_observer is not None:
+        _op_observer(op_tag, out.data, parents)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)

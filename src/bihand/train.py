@@ -18,7 +18,7 @@ import numpy as np
 from . import handmodel
 from .pipeline import BETA_DIM, THETA_SHAPE, BimanualHandNet, check_records
 from .ssm import scan_flops
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, no_grad, observe_ops
 
 LOSS_TERMS = ("theta_l", "theta_r", "beta_l", "beta_r",
               "joint_l", "joint_r", "vert_l", "vert_r", "trel")
@@ -396,89 +396,38 @@ def count_params(config):
     return sum(t.size for _, t in BimanualHandNet(config).params())
 
 
-def _conv_flops(cin, cout, k, oh, ow):
-    return 2 * k * k * cin * cout * oh * ow + cout * oh * ow
-
-
-def _linear_flops(cin, cout, rows=1):
-    return rows * (2 * cin * cout + cout)
-
-
-def _norm_flops(elements):
-    return 8 * elements
-
-
-def _vmblock_flops(seq, width, state_dim, expand, conv_width, mlp_ratio):
-    inner = width * expand
-    total = _norm_flops(seq * width)                       # ln1
-    total += 2 * _linear_flops(width, inner, seq)          # in/gate proj
-    total += seq * inner * (2 * conv_width + 1)            # depthwise conv
-    total += 4 * seq * inner                               # silu main
-    total += _linear_flops(inner, inner, seq)              # dt proj
-    total += 4 * seq * inner                               # softplus
-    total += 2 * _linear_flops(inner, state_dim, seq)      # b/c proj
-    total += scan_flops(seq, inner, state_dim)
-    total += 4 * seq * inner + seq * inner                 # gate silu + multiply
-    total += _linear_flops(inner, width, seq)              # out proj
-    total += _norm_flops(seq * width)                      # ln2
-    hidden = int(round(width * mlp_ratio))
-    total += _linear_flops(width, hidden, seq) + seq * hidden \
-        + _linear_flops(hidden, width, seq)
-    return total
+# Floating-point work per op tag, from the op's output array and its parents'
+# arrays; movement ops do none. A tag missing here is an op nothing counts yet.
+FLOP_RULES = {
+    **dict.fromkeys(("add", "sub", "mul", "div", "neg", "exp", "sqrt", "sin", "abs",
+                     "relu"), lambda out, args: out.size),
+    **dict.fromkeys(("silu", "softplus"), lambda out, args: 4 * out.size),
+    **dict.fromkeys(("reshape", "transpose", "getitem", "concat", "stack"),
+                    lambda out, args: 0),
+    **dict.fromkeys(("sum", "mean"), lambda out, args: args[0].size),
+    "layernorm": lambda out, args: 8 * out.size,
+    "softmax": lambda out, args: 5 * out.size,
+    "grid_sample": lambda out, args: 8 * out.size,  # four taps, a multiply-add each
+    "linear": lambda out, args: 2 * out.size * args[1].shape[0] + out.size,
+    "conv2d": lambda out, args: 2 * out.size * args[1][0].size + out.size,
+    "matmul": lambda out, args: 2 * out.size * args[0].shape[-1],
+    "conv1d": lambda out, args: out.size * (2 * args[1].shape[1] + 1),
+    "scan": lambda out, args: scan_flops(*args[0].shape, args[2].shape[1]),
+}
 
 
 def count_flops(config):
-    """Analytic floating-point work of one full forward pass."""
-    c = config.hand_channels
-    h, w = config.map_h, config.map_w
-    n = h * w
+    """Floating-point work of one forward of the network ``config`` builds: the
+    ``FLOP_RULES`` sum over the ops a no_grad forward of a zero image runs. An
+    op tag without a rule raises KeyError instead of counting as 0."""
+    net = BimanualHandNet(config)
     total = 0
-    cin, sh, sw = 3, config.image_h, config.image_w
-    stages = [config.backbone_channels >> (config.backbone_stages - 1 - i)
-              for i in range(config.backbone_stages)]
-    for cout in stages:
-        sh, sw = sh // 2, sw // 2
-        total += _conv_flops(cin, cout, 3, sh, sw) + _norm_flops(cout * sh * sw) \
-            + cout * sh * sw
-        cin = cout
-    total += 2 * (_conv_flops(cin, c, 1, h, w) + _norm_flops(c * n) + c * n)
 
-    total += _conv_flops(2 * c, 2 * c, 1, h, w)
-    total += config.vm_ife_depth * _vmblock_flops(
-        n, 2 * c, config.state_dim, config.expand, config.conv_width, config.mlp_ratio)
-    inner = max(1, c // 2)
-    nl = (3 * _conv_flops(c, inner, 1, h, w) + 2 * 2 * inner * n * n
-          + 5 * n * n + _conv_flops(inner, c, 1, h, w) + c * n)
-    fuse = _conv_flops(2 * c, c, 1, h, w)
-    total += 2 * (nl + fuse)  # both hands run even with shared weights
-
-    extractor = (_conv_flops(c, config.joints, 1, h, w)
-                 + _conv_flops(c, config.joints * config.depth_bins, 1, h, w)
-                 + 5 * config.joints * (n + config.depth_bins)   # softmax
-                 + 4 * config.joints * (n + config.depth_bins)   # expectations
-                 + 8 * config.joints * c)                        # bilinear gather
-    total += 2 * extractor
-
-    total += 2 * config.jvm_depth * _vmblock_flops(
-        config.joints, c, config.state_dim, config.expand, config.conv_width,
-        config.mlp_ratio)
-
-    theta_dim = handmodel.NUM_JOINTS * 3
-    total += 2 * (_linear_flops(config.joints * (c + 3), theta_dim)
-                  + _linear_flops(c, handmodel.NUM_SHAPES) + 2 * config.joints * c)
-    total += _linear_flops(2 * c, 3) + 2 * 2 * c * n
-
-    # hand rig per hand: 16 rodrigues, level-wise kinematics over the 15 child
-    # joints, one blend of the 16 relative [3,4] transforms, one apply
-    v = config.vertices
-    per_hand = (16 * 60                       # rodrigues assembly
-                + 15 * (2 * 27 + 2 * 9 + 3)   # child rotation and offset matmul, add
-                + 16 * (2 * 9 + 3)            # relative translation pos - R rest
-                + 2 * v * 10 * 3              # blendshapes
-                + 2 * v * 16 * 12             # weights[V,16] @ transforms[16,12]
-                + 2 * v * 12                  # blended [3,4] @ homogeneous vertex
-                + 2 * 21 * v * 3)             # joint regressor
-    total += 2 * per_hand
+    def count(tag, out, parents):
+        nonlocal total
+        total += FLOP_RULES[tag](out, [p.data for p in parents])
+    with no_grad(), observe_ops(count):
+        net.forward(Tensor(np.zeros((3, config.image_h, config.image_w))))
     return total
 
 

@@ -1,9 +1,11 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from bihand import tensor as T
 from bihand import train as tr
 from bihand.handmodel import make_default_rig
 from bihand.pipeline import (BimanualHandNet, FullOutput, PipelineConfig,
@@ -314,9 +316,35 @@ def test_evaluate_rejects_empty(toy_setup):
 
 
 def test_counting_formula_examples():
-    from bihand.train import _conv_flops
     # 1x1 conv, 2->2 channels on a 4x4 map: 128 multiply-add flops + 32 bias adds
-    assert _conv_flops(2, 2, 1, 4, 4) == 128 + 32
+    out, weight, bias = np.zeros((2, 4, 4)), np.zeros((2, 2, 1, 1)), np.zeros(2)
+    assert tr.FLOP_RULES["conv2d"](out, [np.zeros((2, 4, 4)), weight, bias]) == 128 + 32
+
+
+def test_flop_rules_cover_exactly_the_ops_a_forward_and_loss_run(toy_setup):
+    # a new op without a rule fails here, and so does a rule that no op uses
+    cfg, net, data = toy_setup
+    tags = set()
+    with T.observe_ops(lambda tag, out, parents: tags.add(tag)):
+        tr.loss(net.forward(Tensor(data[0].image)), data[0])
+    assert tags == set(tr.FLOP_RULES)
+
+
+def test_flop_count_is_the_same_with_and_without_shared_heads():
+    # both hands run the extractor, refiner and regressor either way
+    cfg = PipelineConfig.toy(seed=2)
+    assert tr.count_flops(cfg) == tr.count_flops(replace(cfg, share_hand_heads=False))
+
+
+def test_observe_ops_restores_observer_and_grad_mode_on_error():
+    def outer(tag, out, parents):
+        pass
+    with T.observe_ops(outer):
+        with pytest.raises(ValueError, match="boom"):
+            with T.no_grad(), T.observe_ops(lambda *a: None):
+                raise ValueError("boom")
+        assert T._op_observer is outer and T._grad_enabled
+    assert T._op_observer is None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN flows through numpy ops
