@@ -437,7 +437,7 @@ def cmd_count(args):
     if args.config:
         rows.insert(0, ("configured", _load_config(args)))
     for label, c in rows:
-        params, flops = tr.count_params(c), tr.count_flops(c)
+        params, flops = tr.count_work(c)
         line = (f"{label:10s} params={params / 1e6:8.2f}M  "
                 f"gflops={flops / 1e9:8.2f}")
         if label == "full":

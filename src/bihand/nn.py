@@ -56,8 +56,6 @@ class Linear(Module):
     """x[n,in] @ weight[in,out] + bias[out]."""
 
     def __init__(self, in_features, out_features, rng=None, zero_init=False):
-        self.in_features = in_features
-        self.out_features = out_features
         w = init_weight(rng, (in_features, out_features), in_features, zero_init)
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
@@ -222,7 +220,6 @@ class MlpLayer(Module):
     """Linear -> ReLU -> Linear with equal input and output widths."""
 
     def __init__(self, width, ratio=2, rng=None, zero_init_out=False):
-        self.width = width
         hidden = int(round(width * ratio))
         self.fc1 = Linear(width, hidden, rng=rng)
         self.fc2 = Linear(hidden, width, rng=rng, zero_init=zero_init_out)
@@ -307,7 +304,6 @@ class NonLocalBlock(Module):
     """
 
     def __init__(self, channels, rng, zero_init_out=True):
-        self.channels = channels
         inner = max(1, channels // 2)
         self.inner = inner
         self.theta = Conv2dLayer(channels, inner, 1, rng=rng)

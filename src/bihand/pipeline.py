@@ -25,8 +25,7 @@ import numpy as np
 from . import handmodel
 from .nn import (Conv2dLayer, LayerNormLayer, Linear, Module, NonLocalBlock,
                  grid_sample, softmax)
-from .ssm import (SCAN_ORDERS, VmBlockLayer, featuremap_to_sequence,
-                  sequence_to_featuremap)
+from .ssm import VmBlockLayer, featuremap_to_sequence, sequence_to_featuremap
 from .tensor import Tensor, concat, reshape, stack
 
 CHECKPOINT_MAGIC = b"VMBH"
@@ -51,8 +50,6 @@ class PipelineConfig:
     expand: int = 2
     conv_width: int = 4
     mlp_ratio: int = 2
-    scan_order: str = "row_major"
-    share_hand_heads: bool = True
     hand_model: str = "default"   # "default" or a path to a rig JSON file
     seed: int = 0
 
@@ -78,8 +75,6 @@ class PipelineConfig:
                              f"divisible by {div} for {self.backbone_stages} stages")
         if self.backbone_channels % 4:
             raise ValueError("backbone_channels must be divisible by 4")
-        if self.scan_order not in SCAN_ORDERS:
-            raise ValueError(f"scan_order must be one of {SCAN_ORDERS}")
 
     @property
     def hand_channels(self):
@@ -229,32 +224,29 @@ class InteractionFeatureBlock(Module):
     def __init__(self, config, rng):
         c = config.hand_channels
         self.c = c
-        self.order = config.scan_order
         self.initial_conv = Conv2dLayer(2 * c, 2 * c, 1, rng=rng)
         self.blocks = [VmBlockLayer(2 * c, state_dim=config.state_dim,
                                     expand=config.expand, conv_width=config.conv_width,
                                     mlp_ratio=config.mlp_ratio, rng=rng)
                        for _ in range(config.vm_ife_depth)]
-        share = config.share_hand_heads
+        # both hands use each of these; "_l" keeps the checkpoint record names
         self.attn_l = NonLocalBlock(c, rng)
-        self.attn_r = self.attn_l if share else NonLocalBlock(c, rng)
         self.fuse_l = Conv2dLayer(2 * c, c, 1, rng=rng)
-        self.fuse_r = self.fuse_l if share else Conv2dLayer(2 * c, c, 1, rng=rng)
 
     def __call__(self, f_l, f_r):
         if f_l.shape != f_r.shape:
             raise ValueError(f"hand maps disagree: {f_l.shape} vs {f_r.shape}")
         c, h, w = f_l.shape
         x = self.initial_conv(concat([f_l, f_r], axis=0))
-        seq = featuremap_to_sequence(x, self.order)
+        seq = featuremap_to_sequence(x)
         for block in self.blocks:
             seq = block(seq)
-        x = sequence_to_featuremap(seq, h, w, self.order)
+        x = sequence_to_featuremap(seq, h, w)
         enh_l, enh_r = x[:c], x[c:]
         inter_l = self.attn_l(enh_l, enh_r)
-        inter_r = self.attn_r(enh_r, enh_l)
+        inter_r = self.attn_l(enh_r, enh_l)
         starred_l = self.fuse_l(concat([enh_l, inter_l], axis=0))
-        starred_r = self.fuse_r(concat([enh_r, inter_r], axis=0))
+        starred_r = self.fuse_l(concat([enh_r, inter_r], axis=0))
         return starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r)
 
 
@@ -336,28 +328,26 @@ class DualHandRegressor(Module):
 
     def __init__(self, config, rng):
         c, j = config.hand_channels, config.joints
-        share = config.share_hand_heads
         # coordinates join the features in grid units; normalize to O(1)
         self.coord_scale = np.array([1.0 / max(config.map_w - 1, 1),
                                      1.0 / max(config.map_h - 1, 1),
                                      1.0 / (config.depth_bins - 1)])
         theta_dim = THETA_SHAPE[0] * THETA_SHAPE[1]
+        # both hands use each of these; "_l" keeps the checkpoint record names
         self.theta_fc_l = Linear(j * (c + 3), theta_dim, zero_init=True)
         self.beta_fc_l = Linear(c, BETA_DIM, zero_init=True)
-        self.theta_fc_r = self.theta_fc_l if share else Linear(j * (c + 3), theta_dim, zero_init=True)
-        self.beta_fc_r = self.beta_fc_l if share else Linear(c, BETA_DIM, zero_init=True)
         self.trel_fc = Linear(2 * c, 3, zero_init=True)
 
-    def _hand(self, theta_fc, beta_fc, refined, coords):
+    def _hand(self, refined, coords):
         j = refined.shape[0]
         packed = concat([refined, coords.uvd() * Tensor(self.coord_scale)], axis=1)
-        theta = reshape(theta_fc(reshape(packed, (j * packed.shape[1],))), THETA_SHAPE)
-        beta = beta_fc(refined.mean(axis=0))
+        theta = reshape(self.theta_fc_l(reshape(packed, (j * packed.shape[1],))), THETA_SHAPE)
+        beta = self.beta_fc_l(refined.mean(axis=0))
         return theta, beta
 
     def __call__(self, refined_l, coords_l, refined_r, coords_r, starred_l, starred_r):
-        theta_l, beta_l = self._hand(self.theta_fc_l, self.beta_fc_l, refined_l, coords_l)
-        theta_r, beta_r = self._hand(self.theta_fc_r, self.beta_fc_r, refined_r, coords_r)
+        theta_l, beta_l = self._hand(refined_l, coords_l)
+        theta_r, beta_r = self._hand(refined_r, coords_r)
         pooled = concat([starred_l.mean(axis=(1, 2)), starred_r.mean(axis=(1, 2))], axis=0)
         t_rel = self.trel_fc(pooled) * self.TREL_SCALE_MM
         return theta_l, beta_l, theta_r, beta_r, t_rel
@@ -371,9 +361,8 @@ class BimanualHandNet(Module):
         rng = np.random.default_rng(config.seed)
         self.backbone = Backbone(config, rng)
         self.interaction = InteractionFeatureBlock(config, rng)
+        # both hands use it; "_l" keeps the checkpoint record names
         self.extractor_l = JointFeatureExtractor(config, rng)
-        self.extractor_r = (self.extractor_l if config.share_hand_heads
-                            else JointFeatureExtractor(config, rng))
         self.refiner = JointSequenceRefiner(config, rng)
         self.regressor = DualHandRegressor(config, rng)
         self.rig = build_rig(config)
@@ -382,7 +371,7 @@ class BimanualHandNet(Module):
         f_l, f_r = self.backbone(img)
         starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r) = self.interaction(f_l, f_r)
         heat_l, coords_l, feats_l = self.extractor_l(starred_l)
-        heat_r, coords_r, feats_r = self.extractor_r(starred_r)
+        heat_r, coords_r, feats_r = self.extractor_l(starred_r)
         ref_l, ref_r = self.refiner(feats_l, feats_r)
         theta_l, beta_l, theta_r, beta_r, t_rel = self.regressor(
             ref_l, coords_l, ref_r, coords_r, starred_l, starred_r)

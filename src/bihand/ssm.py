@@ -20,8 +20,6 @@ import numpy as np
 from .nn import Linear, LayerNormLayer, MlpLayer, Module
 from .tensor import Tensor, graph_op, reshape, transpose, _accum
 
-SCAN_ORDERS = ("row_major", "column_major")
-
 # softplus(bias) spans roughly [0.01, 0.1]: slow-to-fast step sizes at init
 _DT_BIAS_LO = float(np.log(np.expm1(0.01)))
 _DT_BIAS_HI = float(np.log(np.expm1(0.1)))
@@ -102,8 +100,6 @@ class SsmParams(Module):
     """Learnable scan parameters plus the input-dependent coefficient heads."""
 
     def __init__(self, channels, state_dim, rng):
-        self.channels = channels
-        self.state_dim = state_dim
         # -a spans [1, state_dim] per channel: a classic stable spectrum init
         a_log = np.tile(np.log(np.arange(1, state_dim + 1, dtype=np.float64)),
                         (channels, 1))
@@ -181,7 +177,6 @@ class VmBlockLayer(Module):
     def __init__(self, width, rng, state_dim=8, expand=2, conv_width=4, mlp_ratio=2):
         self.width = width
         inner = width * expand
-        self.inner = inner
         self.ln1 = LayerNormLayer(width)
         self.in_proj = Linear(width, inner, rng=rng)
         self.gate_proj = Linear(width, inner, rng=rng)
@@ -202,25 +197,15 @@ class VmBlockLayer(Module):
         return x + self.mlp(self.ln2(x))
 
 
-def featuremap_to_sequence(f, order="row_major"):
-    """Flatten f[c,h,w] into a [h*w, c] sequence; bijective per order."""
-    if order not in SCAN_ORDERS:
-        raise ValueError(f"unknown scan order {order!r}; choose from {SCAN_ORDERS}")
+def featuremap_to_sequence(f):
+    """Flatten f[c,h,w] into a [h*w, c] sequence, visiting pixels row-major."""
     c, h, w = f.shape
-    if order == "column_major":
-        f = transpose(f, (0, 2, 1))
     return transpose(reshape(f, (c, h * w)), (1, 0))
 
 
-def sequence_to_featuremap(seq, h, w, order="row_major"):
+def sequence_to_featuremap(seq, h, w):
     """Exact inverse of featuremap_to_sequence."""
-    if order not in SCAN_ORDERS:
-        raise ValueError(f"unknown scan order {order!r}; choose from {SCAN_ORDERS}")
-    c = seq.shape[1]
-    f = reshape(transpose(seq, (1, 0)), (c, w, h) if order == "column_major" else (c, h, w))
-    if order == "column_major":
-        f = transpose(f, (0, 2, 1))
-    return f
+    return reshape(transpose(seq, (1, 0)), (seq.shape[1], h, w))
 
 
 # -- quadratic reference operator and work accounting -------------------------

@@ -391,11 +391,6 @@ def write_metrics_csv(path, split_name, metrics):
 
 # -- work accounting -----------------------------------------------------------------
 
-def count_params(config):
-    """Parameter count of the network ``config`` builds, read from its registry."""
-    return sum(t.size for _, t in BimanualHandNet(config).params())
-
-
 # Floating-point work per op tag, from the op's output array and its parents'
 # arrays; movement ops do none. A tag missing here is an op nothing counts yet.
 FLOP_RULES = {
@@ -416,10 +411,10 @@ FLOP_RULES = {
 }
 
 
-def count_flops(config):
-    """Floating-point work of one forward of the network ``config`` builds: the
-    ``FLOP_RULES`` sum over the ops a no_grad forward of a zero image runs. An
-    op tag without a rule raises KeyError instead of counting as 0."""
+def count_work(config):
+    """(parameters, FLOPs) of one build of the network ``config`` describes: its
+    registry's sizes, and the ``FLOP_RULES`` sum over the ops a no_grad forward
+    of a zero image runs. An op tag without a rule raises KeyError, not 0."""
     net = BimanualHandNet(config)
     total = 0
 
@@ -428,7 +423,12 @@ def count_flops(config):
         total += FLOP_RULES[tag](out, [p.data for p in parents])
     with no_grad(), observe_ops(count):
         net.forward(Tensor(np.zeros((3, config.image_h, config.image_w))))
-    return total
+    return sum(t.size for _, t in net.params()), total
+
+
+def count_flops(config):
+    """FLOPs of one forward of the network ``config`` builds (see ``count_work``)."""
+    return count_work(config)[1]
 
 
 REFERENCE_FULL_SCALE = {"params_m": 36.99, "gflops": 12.97}

@@ -343,7 +343,7 @@ def test_criterion_5_cost_scaling():
 
 def test_criterion_6_informative_accounting():
     cfg = PipelineConfig.full()
-    params, flops = tr.count_params(cfg), tr.count_flops(cfg)
+    params, flops = tr.count_work(cfg)
     ref = tr.REFERENCE_FULL_SCALE
     dp = 100.0 * (params / 1e6 - ref["params_m"]) / ref["params_m"]
     df = 100.0 * (flops / 1e9 - ref["gflops"]) / ref["gflops"]

@@ -254,6 +254,17 @@ def test_config_not_an_object_is_named_error(doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_with_removed_key_is_named_error(tmp_path, capsys):
+    # share_hand_heads was once a config field; a file that still holds it is refused
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"share_hand_heads": True}))
+    assert run(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "rig-export"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys: share_hand_heads" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_gen_data_roundtrip(tmp_path):
     out = tmp_path / "data"
     assert run(["--out", str(out), "--seed", "11", "gen-data", "--samples", "3"]) == 0

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 import struct
@@ -130,7 +131,7 @@ def test_interaction_gradients():
 def test_hand_swap_equivariance_with_shared_heads():
     # identity trunk and shared per-hand heads: swapping the input hands and
     # the chunk assignment must swap the starred outputs bitwise
-    cfg = small_config(share_hand_heads=True)
+    cfg = small_config()
     block = pl.InteractionFeatureBlock(cfg, np.random.default_rng(29))
     identity_trunk(block)
     rng = np.random.default_rng(31)
@@ -402,10 +403,11 @@ def test_config_json_roundtrip(tmp_path):
     assert pl.load_config_json(path) == cfg
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize("key", ["frobnicate", "share_hand_heads", "scan_order"])
+def test_config_rejects_unknown_keys(key, tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text('{"image_h": 64, "frobnicate": 1}')
-    with pytest.raises(ValueError, match="frobnicate"):
+    path.write_text(json.dumps({"image_h": 64, key: 1}))
+    with pytest.raises(ValueError, match=f"unknown config keys: {key}"):
         pl.load_config_json(path)
 
 
@@ -414,8 +416,6 @@ def test_config_validation():
         pl.PipelineConfig(image_h=60)  # not divisible by 8
     with pytest.raises(ValueError):
         pl.PipelineConfig(backbone_channels=30)
-    with pytest.raises(ValueError):
-        pl.PipelineConfig(scan_order="spiral")
 
 
 @pytest.mark.parametrize("field, value, expected", [
@@ -423,9 +423,7 @@ def test_config_validation():
     ("backbone_channels", 64.0, "int"),
     ("joints", True, "int"),
     ("seed", None, "int"),
-    ("scan_order", 1, "str"),
     ("hand_model", None, "str"),
-    ("share_hand_heads", 1, "bool"),
     ("seed", -1, "non-negative"),
 ])
 def test_config_rejects_wrong_field_types(field, value, expected):
@@ -459,18 +457,14 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
 
 # sha256 of the "name:shape" lines of the toy registry; a change here means
 # checkpoint record order or naming changed and CHECKPOINT_VERSION must move
-REGISTRY_SHA256 = {
-    True: "1ca72a91eeab806ae1dbf0cd398fcd7daf4c9740ece182e9d37ed0171d70b9fa",
-    False: "d04ca58b95042e63a07589e852ce49237177bd8a9458c349ca2896c64662f106",
-}
+REGISTRY_SHA256 = "1ca72a91eeab806ae1dbf0cd398fcd7daf4c9740ece182e9d37ed0171d70b9fa"
 
 
-@pytest.mark.parametrize("share", [True, False])
-def test_registry_names_and_shapes_are_pinned(share):
-    net = pl.BimanualHandNet(pl.PipelineConfig.toy(share_hand_heads=share))
+def test_registry_names_and_shapes_are_pinned():
+    net = pl.BimanualHandNet(pl.PipelineConfig.toy())
     lines = "\n".join(f"{name}:{tuple(t.shape)}" for name, t in net.params())
-    assert hashlib.sha256(lines.encode()).hexdigest() == REGISTRY_SHA256[share]
-    assert len(net.params()) == (138 if share else 156)
+    assert hashlib.sha256(lines.encode()).hexdigest() == REGISTRY_SHA256
+    assert len(net.params()) == 138
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -202,25 +202,16 @@ def test_sequence_roundtrip_one_pixel():
 
 def test_sequence_row_major_visit_order():
     f = Tensor(np.arange(4.0).reshape(1, 2, 2))  # values 0..3 laid out row-major
-    seq = ssm.featuremap_to_sequence(f, "row_major")
+    seq = ssm.featuremap_to_sequence(f)
     npt.assert_array_equal(seq.data[:, 0], [0.0, 1.0, 2.0, 3.0])
-    seq = ssm.featuremap_to_sequence(f, "column_major")
-    npt.assert_array_equal(seq.data[:, 0], [0.0, 2.0, 1.0, 3.0])
 
 
 def test_sequence_roundtrip_all_orders():
     rng = np.random.default_rng(43)
-    for order in ssm.SCAN_ORDERS:
-        for _ in range(10):
-            c = int(rng.integers(1, 5))
-            h = int(rng.integers(1, 6))
-            w = int(rng.integers(1, 6))
-            f = Tensor(rng.uniform(-1, 1, (c, h, w)))
-            back = ssm.sequence_to_featuremap(
-                ssm.featuremap_to_sequence(f, order), h, w, order)
-            assert np.array_equal(back.data, f.data)
-
-
-def test_sequence_unknown_order():
-    with pytest.raises(ValueError):
-        ssm.featuremap_to_sequence(Tensor(np.zeros((1, 2, 2))), "diagonal")
+    for _ in range(10):
+        c = int(rng.integers(1, 5))
+        h = int(rng.integers(1, 6))
+        w = int(rng.integers(1, 6))
+        f = Tensor(rng.uniform(-1, 1, (c, h, w)))
+        back = ssm.sequence_to_featuremap(ssm.featuremap_to_sequence(f), h, w)
+        assert np.array_equal(back.data, f.data)

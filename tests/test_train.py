@@ -1,5 +1,4 @@
 import gc
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -330,12 +329,6 @@ def test_flop_rules_cover_exactly_the_ops_a_forward_and_loss_run(toy_setup):
     assert tags == set(tr.FLOP_RULES)
 
 
-def test_flop_count_is_the_same_with_and_without_shared_heads():
-    # both hands run the extractor, refiner and regressor either way
-    cfg = PipelineConfig.toy(seed=2)
-    assert tr.count_flops(cfg) == tr.count_flops(replace(cfg, share_hand_heads=False))
-
-
 def test_observe_ops_restores_observer_and_grad_mode_on_error():
     def outer(tag, out, parents):
         pass
@@ -379,12 +372,12 @@ def test_train_loop_rejects_bad_loop_bounds(epochs, batch_size, n, match):
 
 def test_param_counter_matches_checkpoint_enumeration(tmp_path):
     from bihand.pipeline import load_checkpoint
-    for cfg in (small_config(), small_config(joints=6, share_hand_heads=False)):
+    for cfg in (small_config(), small_config(joints=6)):
         net = BimanualHandNet(cfg)
         path = tmp_path / "count.ckpt"
         net.save_checkpoint(path)
         serialized = sum(arr.size for _, arr in load_checkpoint(path))
-        assert tr.count_params(cfg) == serialized
+        assert tr.count_work(cfg)[0] == serialized
 
 
 def train_config(**over):
