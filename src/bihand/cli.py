@@ -53,7 +53,8 @@ def _probed(rng, fn, leaves, scale=1.0, **kw):
 def _check_matmul(rng):
     x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     w = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
-    return _probed(rng, lambda: x @ w, [x, w])
+    pair = Tensor(rng.uniform(-2, 2, (2, 3, 4)), requires_grad=True)  # w serves both
+    return max(_probed(rng, lambda: x @ w, [x, w]), _probed(rng, lambda: pair @ w, [pair, w]))
 
 
 @_gradcheck("linear", 73)
@@ -139,7 +140,11 @@ def _check_grid_sample(rng):
     f = Tensor(rng.uniform(-2, 2, (2, 5, 6)), requires_grad=True)
     pts = Tensor(np.stack([rng.uniform(0.3, 4.2, 5), rng.uniform(0.3, 3.2, 5)],
                           axis=1) + 0.13, requires_grad=True)
-    return _probed(rng, lambda: grid_sample(f, pts), [f, pts])
+    single = _probed(rng, lambda: grid_sample(f, pts), [f, pts])
+    fs = Tensor(rng.uniform(-2, 2, (2, 2, 5, 6)), requires_grad=True)
+    ps = Tensor(np.stack([rng.uniform(0.3, 4.2, (2, 5)), rng.uniform(0.3, 3.2, (2, 5))],
+                         axis=-1) + 0.13, requires_grad=True)
+    return max(single, _probed(rng, lambda: grid_sample(fs, ps), [fs, ps]))
 
 
 @_gradcheck("non_local", 37)
@@ -203,10 +208,13 @@ def _check_rodrigues(rng):
 @_gradcheck("lbs", 61)
 def _check_lbs(rng):
     rig = handmodel.make_default_rig(seed=0)
-    theta = Tensor(rng.normal(0, 0.3, (16, 3)), requires_grad=True)
-    beta = Tensor(rng.normal(0, 1, 10), requires_grad=True)
-    return _probed(rng, lambda: handmodel.lbs(rig, theta, beta).vertices, [theta, beta],
-                   scale=0.02, max_coords_per_leaf=16)
+    worst = 0.0
+    for lead in ((), (2,)):  # one hand, and the hand pair in one pass
+        theta = Tensor(rng.normal(0, 0.3, lead + (16, 3)), requires_grad=True)
+        beta = Tensor(rng.normal(0, 1, lead + (10,)), requires_grad=True)
+        worst = max(worst, _probed(rng, lambda: handmodel.lbs(rig, theta, beta).vertices,
+                                   [theta, beta], scale=0.02, max_coords_per_leaf=16))
+    return worst
 
 
 @_gradcheck("loss", 67)

@@ -25,7 +25,7 @@ NUM_EVAL_JOINTS = 21
 
 
 def rodrigues_batch(aa):
-    """Axis-angle rows aa[n,3] to rotation matrices [n,3,3].
+    """Axis-angle rows aa[..., 3] to rotation matrices [..., 3, 3].
 
     R = I + (sin t / t) K + ((1 - cos t) / t^2) K^2 with K = skew(aa) and
     t = |aa|. Angles below SMALL_ANGLE switch to the second-order Taylor
@@ -33,17 +33,15 @@ def rodrigues_batch(aa):
     at t = 0. The (1 - cos) term is evaluated as 2 sin^2(t/2) to avoid
     cancellation at small angles.
     """
-    n = aa.shape[0]
-    ax = aa[:, 0]
-    ay = aa[:, 1]
-    az = aa[:, 2]
-    zero = Tensor(np.zeros(n))
+    lead = aa.shape[:-1]
+    ax, ay, az = aa[..., 0], aa[..., 1], aa[..., 2]
+    zero = Tensor(np.zeros(lead))
     k = reshape(stack([zero, -az, ay,
                        az, zero, -ax,
-                       -ay, ax, zero], axis=1), (n, 3, 3))
+                       -ay, ax, zero], axis=-1), lead + (3, 3))
     k2 = matmul(k, k)
 
-    t_sq = (aa * aa).sum(axis=1)
+    t_sq = (aa * aa).sum(axis=-1)
     small = Tensor((t_sq.data < SMALL_ANGLE ** 2).astype(np.float64))
     # add 1 inside the sqrt on the small branch so its gradient stays finite;
     # that branch's exact coefficients are discarded by the mask anyway
@@ -55,8 +53,8 @@ def rodrigues_batch(aa):
     coeff_b = big * (2.0 * half_sin * half_sin / t_sq_safe) \
         + small * (0.5 - t_sq * (1.0 / 24.0))
 
-    eye = Tensor(np.tile(np.eye(3), (n, 1, 1)))
-    return eye + reshape(coeff_a, (n, 1, 1)) * k + reshape(coeff_b, (n, 1, 1)) * k2
+    return Tensor(np.eye(3)) + reshape(coeff_a, lead + (1, 1)) * k \
+        + reshape(coeff_b, lead + (1, 1)) * k2
 
 
 @dataclass
@@ -158,51 +156,49 @@ def validate_rig(rig):
 
 
 def forward_kinematics(rig, theta):
-    """World rotations [16,3,3] and positions [16,3] for theta[16,3], in joint order.
+    """World rotations [...,16,3,3] and positions [...,16,3] for theta[...,16,3], in joint order.
 
     The root rotates in place at its rest position; each child composes its
     parent's world transform with a fixed offset and its own local rotation.
     One tree level is composed per step, gathering the parent rows from the
     level above.
     """
+    lead = theta.shape[:-2]
     local = rodrigues_batch(theta)
-    rot = local[:1]
-    pos = Tensor(rig.rest_joints[:1])
+    rot = local[..., :1, :, :]
+    pos = Tensor(np.broadcast_to(rig.rest_joints[:1], lead + (1, 3)))
     rots, poss = [rot], [pos]
     for joints, up in rig.levels:
-        parent_rot = rot[up]
+        parent_rot = rot[..., up, :, :]
         offsets = Tensor(rig.offsets[joints][:, :, None])
-        pos = pos[up] + reshape(matmul(parent_rot, offsets), (len(joints), 3))
-        rot = matmul(parent_rot, local[joints])
+        pos = pos[..., up, :] + reshape(matmul(parent_rot, offsets), lead + (len(joints), 3))
+        rot = matmul(parent_rot, local[..., joints, :, :])
         rots.append(rot)
         poss.append(pos)
-    return concat(rots)[rig.joint_rows], concat(poss)[rig.joint_rows]
-
-
-def shaped_template(rig, beta):
-    """Template plus the linear blendshape offsets for beta[10]."""
-    v = rig.num_vertices
-    offset = matmul(Tensor(rig.blendshapes.reshape(v * 3, NUM_SHAPES)),
-                    reshape(beta, (NUM_SHAPES, 1)))
-    return Tensor(rig.template) + reshape(offset, (v, 3))
+    return (concat(rots, axis=-3)[..., rig.joint_rows, :, :],
+            concat(poss, axis=-2)[..., rig.joint_rows, :])
 
 
 def lbs(rig, theta, beta):
-    """Pose and shape the rig, then regress the 21 evaluation joints.
+    """Pose and shape the rig, then regress the 21 evaluation joints; theta[16,3]
+    and beta[10], or theta[n,16,3] and beta[n,10] for n hands in one pass.
 
     Each joint's transform relative to the rest pose is [R | pos - R rest],
     computed without a matrix inverse so theta = 0 yields exact identities.
     The skinning weights blend these [3,4] transforms per vertex, and each
     blended transform is applied once to its homogeneous shaped vertex.
     """
-    v = rig.num_vertices
-    base = shaped_template(rig, beta)
+    lead, v = theta.shape[:-2], rig.num_vertices
+    offset = matmul(Tensor(rig.blendshapes.reshape(v * 3, NUM_SHAPES)),
+                    reshape(beta, lead + (NUM_SHAPES, 1)))  # the linear shape offsets
+    base = Tensor(rig.template) + reshape(offset, lead + (v, 3))
     rot, pos = forward_kinematics(rig, theta)
-    rest = reshape(matmul(rot, Tensor(rig.rest_joints[:, :, None])), (NUM_JOINTS, 3))
-    rel = concat([rot, reshape(pos - rest, (NUM_JOINTS, 3, 1))], axis=2)
-    blend = reshape(matmul(Tensor(rig.weights), reshape(rel, (NUM_JOINTS, 12))), (v, 3, 4))
-    hom = reshape(concat([base, Tensor(np.ones((v, 1)))], axis=1), (v, 4, 1))
-    vertices = reshape(matmul(blend, hom), (v, 3))
+    rest = reshape(matmul(rot, Tensor(rig.rest_joints[:, :, None])), lead + (NUM_JOINTS, 3))
+    rel = concat([rot, reshape(pos - rest, lead + (NUM_JOINTS, 3, 1))], axis=-1)
+    blend = reshape(matmul(Tensor(rig.weights), reshape(rel, lead + (NUM_JOINTS, 12))),
+                    lead + (v, 3, 4))
+    hom = reshape(concat([base, Tensor(np.ones(lead + (v, 1)))], axis=-1), lead + (v, 4, 1))
+    vertices = reshape(matmul(blend, hom), lead + (v, 3))
     joints = matmul(Tensor(rig.regressor), vertices)
     return HandOutput(vertices=vertices, joints=joints)
 

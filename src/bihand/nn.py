@@ -65,14 +65,15 @@ class Linear(Module):
 
 
 def linear(x, weight, bias):
-    """x[..., in] @ weight[in,out] + bias[out] as one graph node."""
+    """x[..., in] @ weight[in,out] + bias[out] as one graph node. Each leading
+    index's matrix is multiplied alone, so a stack of inputs gets each one's bits."""
     n_in, n_out = weight.shape
     if x.shape[-1] != n_in:
         raise ValueError(f"linear expects width {n_in}, got {x.shape}")
-    flat = x.data.reshape(-1, n_in)
-    out_data = (flat @ weight.data + bias.data).reshape(x.shape[:-1] + (n_out,))
+    out_data = x.data @ weight.data + bias.data
 
     def bw(grad):
+        flat = x.data.reshape(-1, n_in)
         g2 = grad.reshape(-1, n_out)
         if x.requires_grad:
             _accum(x, (g2 @ weight.data.T).reshape(x.shape))
@@ -244,17 +245,20 @@ def softmax(x, axis=-1):
 
 
 def grid_sample(f, points):
-    """Bilinear sample of f[c,h,w] at continuous pixel points[J,2] as (x, y).
+    """Bilinear sample of f[c,h,w] at continuous pixel points[J,2] as (x, y),
+    giving [J,c]; or of each map of f[n,c,h,w] at its points[n,J,2], giving [n,J,c].
 
     Out-of-range coordinates clamp to the border, which keeps values and
     gradients defined everywhere. Differentiable in both the map and the
     sampling positions; the position gradient is zero outside the map.
     """
-    c, h, w = f.shape
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"points must be [J,2], got {points.shape}")
-    px = points.data[:, 0]
-    py = points.data[:, 1]
+    c, h, w = f.shape[-3:]
+    if f.ndim not in (3, 4) or points.shape != f.shape[:-3] + points.shape[-2:-1] + (2,):
+        raise ValueError(f"points must be [J,2] per map of {f.shape}, got {points.shape}")
+    fm = np.moveaxis(f.data, -3, -1)  # channels last: a corner gather gives [..., J, c]
+    lead = (np.arange(f.shape[0])[:, None],) if f.ndim == 4 else ()
+    px = points.data[..., 0]
+    py = points.data[..., 1]
     xc = np.clip(px, 0.0, w - 1.0)
     yc = np.clip(py, 0.0, h - 1.0)
     # non-finite coordinates must not crash the gather; the fractional parts
@@ -263,33 +267,29 @@ def grid_sample(f, points):
     y0 = np.clip(np.floor(np.nan_to_num(yc)), 0, max(h - 2, 0)).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = xc - x0
-    fy = yc - y0
-
-    f00 = f.data[:, y0, x0]  # [c, J]
-    f01 = f.data[:, y0, x1]
-    f10 = f.data[:, y1, x0]
-    f11 = f.data[:, y1, x1]
+    fx = (xc - x0)[..., None]
+    fy = (yc - y0)[..., None]
+    corners = [lead + (y0, x0), lead + (y0, x1), lead + (y1, x0), lead + (y1, x1)]
+    f00, f01, f10, f11 = (fm[k] for k in corners)  # [..., J, c]
     top = f00 * (1 - fx) + f01 * fx
     bot = f10 * (1 - fx) + f11 * fx
-    out_data = (top * (1 - fy) + bot * fy).T  # [J, c]
+    out_data = top * (1 - fy) + bot * fy
 
-    def bw(grad):
-        g = grad.T  # [c, J]
+    def bw(g):
         if f.requires_grad:
             df = np.zeros_like(f.data)
-            np.add.at(df, (slice(None), y0, x0), g * ((1 - fx) * (1 - fy)))
-            np.add.at(df, (slice(None), y0, x1), g * (fx * (1 - fy)))
-            np.add.at(df, (slice(None), y1, x0), g * ((1 - fx) * fy))
-            np.add.at(df, (slice(None), y1, x1), g * (fx * fy))
+            dfm = np.moveaxis(df, -3, -1)
+            weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+            for k, wk in zip(corners, weights):
+                np.add.at(dfm, k, g * wk)
             _accum(f, df)
         if points.requires_grad:
             dxc = (1 - fy) * (f01 - f00) + fy * (f11 - f10)
             dyc = bot - top
             in_x = (px >= 0.0) & (px <= w - 1.0)
             in_y = (py >= 0.0) & (py <= h - 1.0)
-            dp = np.stack([(g * dxc).sum(axis=0) * in_x,
-                           (g * dyc).sum(axis=0) * in_y], axis=1)
+            dp = np.stack([(g * dxc).sum(axis=-1) * in_x,
+                           (g * dyc).sum(axis=-1) * in_y], axis=-1)
             _accum(points, dp)
     return graph_op(out_data, (f, points), "grid_sample", bw)
 

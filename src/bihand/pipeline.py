@@ -132,11 +132,11 @@ class Heatmap2p5D:
 
 @dataclass
 class JointCoords:
-    xy: Tensor  # [J, 2] continuous heatmap-frame pixels; also the sampling positions
-    z: Tensor   # [J] continuous depth-bin coordinate
+    xy: Tensor  # [..., J, 2] continuous heatmap-frame pixels; also the sampling positions
+    z: Tensor   # [..., J] continuous depth-bin coordinate
 
     def uvd(self):
-        return concat([self.xy, reshape(self.z, (self.z.shape[0], 1))], axis=1)
+        return concat([self.xy, reshape(self.z, self.z.shape + (1,))], axis=-1)
 
 
 @dataclass
@@ -223,7 +223,6 @@ class InteractionFeatureBlock(Module):
 
     def __init__(self, config, rng):
         c = config.hand_channels
-        self.c = c
         self.initial_conv = Conv2dLayer(2 * c, 2 * c, 1, rng=rng)
         self.blocks = [VmBlockLayer(2 * c, state_dim=config.state_dim,
                                     expand=config.expand, conv_width=config.conv_width,
@@ -252,49 +251,50 @@ class InteractionFeatureBlock(Module):
 
 def soft_argmax(logits, positions):
     """Expectation of the array ``positions`` [n] under softmax over the
-    trailing axis of ``logits`` [..., n], giving [...].
+    trailing axis of ``logits`` [..., n], giving [...]; for ``positions``
+    [k, n], the k expectations under that one softmax, giving [..., k].
 
-    Outputs are guaranteed to lie in the coordinate range of the positions:
-    the convex combination can overshoot by an ulp in floating point, so any
-    overshoot is folded back as a constant offset that leaves the gradient
-    path untouched.
+    Outputs are guaranteed to lie in the coordinate range of each row of
+    positions: the convex combination can overshoot by an ulp in floating
+    point, so any overshoot is folded back as a constant offset that leaves
+    the gradient path untouched.
     """
     p = softmax(logits, axis=-1)
+    if positions.ndim == 2:
+        p = reshape(p, p.shape[:-1] + (1, p.shape[-1]))
     e = (p * Tensor(positions)).sum(axis=-1)
-    correction = np.clip(e.data, positions.min(), positions.max()) - e.data
+    correction = np.clip(e.data, positions.min(axis=-1), positions.max(axis=-1)) - e.data
     if np.any(correction != 0.0):
         e = e + Tensor(correction)
     return e
 
 
 class JointFeatureExtractor(Module):
-    """Per-joint spatial and depth-bin heatmaps, decoded to 2.5D coordinates;
-    features are bilinearly sampled at the decoded positions."""
+    """Per-joint spatial and depth-bin heatmaps of both hands, decoded together
+    to 2.5D coordinates; features are bilinearly sampled at the decoded positions."""
 
     def __init__(self, config, rng):
         c, j, d = config.hand_channels, config.joints, config.depth_bins
         self.joints = j
-        self.depth_bins = d
         self.heat_conv = Conv2dLayer(c, j, 1, rng=rng)
         self.depth_conv = Conv2dLayer(c, j * d, 1, rng=rng)
+        grid_y, grid_x = np.mgrid[0:config.map_h, 0:config.map_w]
+        self.pixel_grid = np.stack([grid_x.ravel(), grid_y.ravel()]).astype(np.float64)
+        self.bins = np.arange(d, dtype=np.float64)
 
-    def __call__(self, f):
-        c, h, w = f.shape
-        j, d = self.joints, self.depth_bins
-        spatial_logits = self.heat_conv(f)
-        depth_logits = reshape(self.depth_conv(f).mean(axis=(1, 2)), (j, d))
-
-        flat = reshape(spatial_logits, (j, h * w))
-        grid_y, grid_x = np.mgrid[0:h, 0:w]
-        x = soft_argmax(flat, grid_x.reshape(-1).astype(np.float64))
-        y = soft_argmax(flat, grid_y.reshape(-1).astype(np.float64))
-        z = soft_argmax(depth_logits, np.arange(d, dtype=np.float64))
-        coords = JointCoords(xy=stack([x, y], axis=1), z=z)
-        return Heatmap2p5D(spatial_logits, depth_logits), coords, grid_sample(f, coords.xy)
+    def __call__(self, f_l, f_r):
+        """Each hand's heatmaps; both hands' coordinates [2,J,...] and features [2,J,c]."""
+        j = self.joints
+        heats = [Heatmap2p5D(self.heat_conv(f), reshape(self.depth_conv(f).mean(axis=(1, 2)),
+                                                        (j, -1))) for f in (f_l, f_r)]
+        spatial = stack([heat.spatial_logits for heat in heats])
+        xy = soft_argmax(reshape(spatial, (2, j, -1)), self.pixel_grid)
+        z = soft_argmax(stack([heat.depth_logits for heat in heats]), self.bins)
+        return heats, JointCoords(xy=xy, z=z), grid_sample(stack([f_l, f_r]), xy)
 
 
 class JointSequenceRefiner(Module):
-    """Shared sequence-block stack over each hand's joints as a sequence."""
+    """Shared sequence-block stack over each hand's joints, both hands as one batch."""
 
     def __init__(self, config, rng):
         self.blocks = [VmBlockLayer(config.hand_channels, state_dim=config.state_dim,
@@ -305,13 +305,10 @@ class JointSequenceRefiner(Module):
     def __call__(self, feats_l, feats_r):
         if feats_l.shape != feats_r.shape:
             raise ValueError(f"joint features disagree: {feats_l.shape} vs {feats_r.shape}")
-        out = []
-        for feats in (feats_l, feats_r):
-            x = feats
-            for block in self.blocks:
-                x = block(x)
-            out.append(x)
-        return out[0], out[1]
+        x = stack([feats_l, feats_r])
+        for block in self.blocks:
+            x = block(x)
+        return x[0], x[1]
 
 
 class DualHandRegressor(Module):
@@ -338,19 +335,17 @@ class DualHandRegressor(Module):
         self.beta_fc_l = Linear(c, BETA_DIM, zero_init=True)
         self.trel_fc = Linear(2 * c, 3, zero_init=True)
 
-    def _hand(self, refined, coords):
-        j = refined.shape[0]
-        packed = concat([refined, coords.uvd() * Tensor(self.coord_scale)], axis=1)
-        theta = reshape(self.theta_fc_l(reshape(packed, (j * packed.shape[1],))), THETA_SHAPE)
-        beta = self.beta_fc_l(refined.mean(axis=0))
-        return theta, beta
-
-    def __call__(self, refined_l, coords_l, refined_r, coords_r, starred_l, starred_r):
-        theta_l, beta_l = self._hand(refined_l, coords_l)
-        theta_r, beta_r = self._hand(refined_r, coords_r)
+    def __call__(self, refined_l, refined_r, uvd, starred_l, starred_r):
+        """Both hands' pose [2,16,3] and shape [2,10], from their refined features
+        and joint coordinates ``uvd`` [2,J,3]; and the relative translation [3]."""
+        refined = stack([refined_l, refined_r])
+        packed = concat([refined, uvd * Tensor(self.coord_scale)], axis=2)
+        # each hand's input is its own one-row matrix, as when the hands ran apart
+        theta = reshape(self.theta_fc_l(reshape(packed, (2, 1, -1))), (2,) + THETA_SHAPE)
+        beta = reshape(self.beta_fc_l(refined.mean(axis=1, keepdims=True)), (2, BETA_DIM))
         pooled = concat([starred_l.mean(axis=(1, 2)), starred_r.mean(axis=(1, 2))], axis=0)
         t_rel = self.trel_fc(pooled) * self.TREL_SCALE_MM
-        return theta_l, beta_l, theta_r, beta_r, t_rel
+        return theta, beta, t_rel
 
 
 class BimanualHandNet(Module):
@@ -370,24 +365,25 @@ class BimanualHandNet(Module):
     def forward(self, img):
         f_l, f_r = self.backbone(img)
         starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r) = self.interaction(f_l, f_r)
-        heat_l, coords_l, feats_l = self.extractor_l(starred_l)
-        heat_r, coords_r, feats_r = self.extractor_l(starred_r)
+        (heat_l, heat_r), coords, feats = self.extractor_l(starred_l, starred_r)
+        feats_l, feats_r = feats[0], feats[1]
         ref_l, ref_r = self.refiner(feats_l, feats_r)
-        theta_l, beta_l, theta_r, beta_r, t_rel = self.regressor(
-            ref_l, coords_l, ref_r, coords_r, starred_l, starred_r)
-        hand_l = handmodel.lbs(self.rig, theta_l, beta_l)
-        hand_r = handmodel.lbs(self.rig, theta_r, beta_r)
+        uvd = coords.uvd()
+        theta, beta, t_rel = self.regressor(ref_l, ref_r, uvd, starred_l, starred_r)
+        hands = handmodel.lbs(self.rig, theta, beta)
 
         aux = PipelineIntermediates(
             f_l=f_l, f_r=f_r, enh_l=enh_l, enh_r=enh_r, inter_l=inter_l, inter_r=inter_r,
             starred_l=starred_l, starred_r=starred_r, heatmap_l=heat_l, heatmap_r=heat_r,
-            coords_l=coords_l, coords_r=coords_r, joint_feats_l=feats_l, joint_feats_r=feats_r,
-            refined_feats_l=ref_l, refined_feats_r=ref_r)
+            coords_l=JointCoords(coords.xy[0], coords.z[0]),
+            coords_r=JointCoords(coords.xy[1], coords.z[1]),
+            joint_feats_l=feats_l, joint_feats_r=feats_r, refined_feats_l=ref_l,
+            refined_feats_r=ref_r)
         return FullOutput(
-            theta_l=theta_l, theta_r=theta_r, beta_l=beta_l, beta_r=beta_r,
-            joints_uvd_l=coords_l.uvd(), joints_uvd_r=coords_r.uvd(),
-            joints_mm_l=hand_l.joints, joints_mm_r=hand_r.joints,
-            vertices_l=hand_l.vertices, vertices_r=hand_r.vertices,
+            theta_l=theta[0], theta_r=theta[1], beta_l=beta[0], beta_r=beta[1],
+            joints_uvd_l=uvd[0], joints_uvd_r=uvd[1],
+            joints_mm_l=hands.joints[0], joints_mm_r=hands.joints[1],
+            vertices_l=hands.vertices[0], vertices_r=hands.vertices[1],
             t_rel=t_rel, aux=aux)
 
     __call__ = forward

@@ -18,7 +18,7 @@ correctness oracle and efficiency baseline.
 import numpy as np
 
 from .nn import Linear, LayerNormLayer, MlpLayer, Module
-from .tensor import Tensor, graph_op, reshape, transpose, _accum
+from .tensor import Tensor, graph_op, reshape, stack, transpose, _accum
 
 # softplus(bias) spans roughly [0.01, 0.1]: slow-to-fast step sizes at init
 _DT_BIAS_LO = float(np.log(np.expm1(0.01)))
@@ -53,8 +53,11 @@ def selective_scan(coeffs, x):
     if a.shape[0] != ch or d_skip.shape != (ch,):
         raise ValueError(f"a {a.shape} / d_skip {d_skip.shape} disagree with {ch} channels")
     if not np.all(delta.data > 0.0):  # NaN fails this comparison too
-        raise RuntimeError("selective_scan requires strictly positive delta "
-                           "(softplus upstream should guarantee this)")
+        t, k = np.argwhere(~(delta.data > 0.0))[0]  # softplus(x) is 0.0 below about -745
+        underflow = delta.data[t, k] == 0 and not np.isnan(delta.data).any()
+        why = ", a softplus underflow" if underflow else ""
+        raise RuntimeError(f"selective_scan requires strictly positive delta, got "
+                           f"delta[{t}, {k}] = {float(delta.data[t, k])!r}{why}")
 
     # einsum forms the outer products: the same products as broadcasting,
     # whose inner loop runs over the short state axis and took ~1.5x as long
@@ -96,6 +99,16 @@ def selective_scan(coeffs, x):
     return graph_op(y, (x, delta, a, b, c, d_skip), "scan", bw)
 
 
+def scan_each(coeffs, x):
+    """``selective_scan`` of x[seq, ch], or of each x[i] of x[n, seq, ch], stacked: the kernel
+    keeps the [seq, ch] input that perfbench's tracer unpacks (ROADMAP, benchmark follow-ups)."""
+    if x.ndim == 2:
+        return selective_scan(coeffs, x)
+    return stack([selective_scan(ScanCoeffs(coeffs.delta[i], coeffs.a, coeffs.b[i],
+                                            coeffs.c[i], coeffs.d_skip), x[i])
+                  for i in range(x.shape[0])])
+
+
 class SsmParams(Module):
     """Learnable scan parameters plus the input-dependent coefficient heads."""
 
@@ -112,7 +125,7 @@ class SsmParams(Module):
         self.c_proj = Linear(channels, state_dim, rng=rng)
 
     def coeffs(self, u):
-        """Coefficients for a prepared main-branch sequence u[seq, channels]."""
+        """Coefficients for prepared main-branch sequences u[..., seq, channels]."""
         delta = self.dt_proj(u).softplus()
         a = -(self.a_log.exp())
         return ScanCoeffs(delta, a, self.b_proj(u), self.c_proj(u), self.d_skip)
@@ -121,35 +134,36 @@ class SsmParams(Module):
 def depthwise_conv1d_causal(x, weight, bias):
     """Per-channel causal 1-D convolution over the sequence axis.
 
-    x[seq, ch] with taps weight[ch, k]; the sequence is left-padded by k-1
+    x[..., seq, ch] with taps weight[ch, k]; the sequence is left-padded by k-1
     zeros so position t sees only positions <= t and length is preserved.
     One graph node: the input gradient correlates the output gradient,
     right-padded by k-1 zeros, with the taps in reverse order.
     """
-    seq, ch = x.shape
+    seq, ch = x.shape[-2:]
     k = weight.shape[1]
-    xp = np.zeros((seq + k - 1, ch))  # np.pad costs more than the taps here
-    xp[k - 1:] = x.data
+    xp = np.zeros(x.shape[:-2] + (seq + k - 1, ch))  # np.pad costs more than the taps here
+    xp[..., k - 1:, :] = x.data
     w = weight.data
-    acc = xp[0:seq] * w[:, 0]
+    acc = xp[..., 0:seq, :] * w[:, 0]
     for j in range(1, k):
-        acc = acc + xp[j:j + seq] * w[:, j]
+        acc = acc + xp[..., j:j + seq, :] * w[:, j]
 
     def bw(grad):
         if x.requires_grad:
-            gp = np.zeros((seq + k - 1, ch))
-            gp[:seq] = grad
-            dx = gp[k - 1:k - 1 + seq] * w[:, 0]
+            gp = np.zeros_like(xp)
+            gp[..., :seq, :] = grad
+            dx = gp[..., k - 1:k - 1 + seq, :] * w[:, 0]
             for j in range(1, k):
-                dx = dx + gp[k - 1 - j:k - 1 - j + seq] * w[:, j]
+                dx = dx + gp[..., k - 1 - j:k - 1 - j + seq, :] * w[:, j]
             _accum(x, dx)
         if weight.requires_grad:
             dw = np.empty((ch, k))
             for j in range(k):
-                dw[:, j] = np.einsum("tc,tc->c", grad, xp[j:j + seq])
+                dw[:, j] = np.einsum("tc,tc->c", grad.reshape(-1, ch),
+                                     xp[..., j:j + seq, :].reshape(-1, ch))
             _accum(weight, dw)
         if bias.requires_grad:
-            _accum(bias, grad.sum(axis=0))
+            _accum(bias, grad.reshape(-1, ch).sum(axis=0))
     return graph_op(acc + bias.data, (x, weight, bias), "conv1d", bw)
 
 
@@ -187,11 +201,11 @@ class VmBlockLayer(Module):
         self.mlp = MlpLayer(width, ratio=mlp_ratio, rng=rng, zero_init_out=True)
 
     def __call__(self, x):
-        if x.ndim != 2 or x.shape[1] != self.width:
-            raise ValueError(f"vmblock expects [seq, {self.width}], got {x.shape}")
+        if x.ndim not in (2, 3) or x.shape[-1] != self.width:
+            raise ValueError(f"vmblock expects [(n,) seq, {self.width}], got {x.shape}")
         u = self.ln1(x)
         main = self.conv(self.in_proj(u)).silu()
-        y = selective_scan(self.ssm.coeffs(main), main)
+        y = scan_each(self.ssm.coeffs(main), main)
         y = y * self.gate_proj(u).silu()
         x = x + self.out_proj(y)
         return x + self.mlp(self.ln2(x))

@@ -398,16 +398,17 @@ def softplus(a):
 # -- matrix products ---------------------------------------------------------
 
 def matmul(a, b):
-    """[p,q] @ [q,r] -> [p,r], or batched [n,p,q] @ [n,q,r] -> [n,p,r]."""
-    if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2] \
+    """[..., p,q] @ [..., q,r]; an operand whose leading dims end the other's is shared."""
+    short, long = sorted((a.shape[:-2], b.shape[:-2]), key=len)
+    if a.ndim < 2 or b.ndim < 2 or long[len(long) - len(short):] != short \
             or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul expects [p,q]@[q,r] or [n,p,q]@[n,q,r], "
+        raise ValueError(f"matmul expects [...,p,q]@[...,q,r] with matching leading dims, "
                          f"got {a.shape} and {b.shape}")
     def bw(g):
         if a.requires_grad:
-            _accum(a, g @ b.data.swapaxes(-1, -2))
+            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
         if b.requires_grad:
-            _accum(b, a.data.swapaxes(-1, -2) @ g)
+            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
     return graph_op(a.data @ b.data, (a, b), "matmul", bw)
 
 
@@ -479,7 +480,7 @@ def getitem(t, key):
         buf = np.zeros_like(t.data)
         # a key of ints and slices selects each element at most once, so its
         # gradient is assigned; fancy keys may repeat elements and accumulate
-        if all(isinstance(k, (int, np.integer, slice))
+        if all(isinstance(k, (int, np.integer, slice)) or k is Ellipsis
                for k in (key if isinstance(key, tuple) else (key,))):
             buf[key] = grad
         else:

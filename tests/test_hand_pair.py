@@ -1,0 +1,192 @@
+"""The hand pair as a leading axis of 2: every kernel and stage that takes it
+gives, for each hand, the forward bits of a call on that hand alone, and
+gradients within 1e-12 of the two single calls' (a shared weight's gradient
+is the sum of the hands'). The whole network stays under a node budget."""
+
+import collections
+
+import numpy as np
+import pytest
+
+from bihand import handmodel as hm
+from bihand import nn, ssm, train as tr
+from bihand.pipeline import BimanualHandNet, JointSequenceRefiner, PipelineConfig, soft_argmax
+from bihand.tensor import Tensor, matmul, observe_ops
+
+GRAD_TOL = 1e-12
+
+
+def _outputs(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _run(fn, leaves, probes):
+    """Forward arrays of ``fn(*leaves)``, and every leaf's gradient of the
+    probed sum of its outputs."""
+    for t in leaves:
+        t.grad = None
+        t.requires_grad = True
+    outs = _outputs(fn(*leaves))
+    total = None
+    for out, probe in zip(outs, probes):
+        term = (out * Tensor(probe)).sum()
+        total = term if total is None else total + term
+    total.backward()
+    return ([out.data.copy() for out in outs],
+            [np.zeros(t.shape) if t.grad is None else t.grad.copy() for t in leaves])
+
+
+def assert_pair_matches_singles(fn, pair, shared=(), seed=0):
+    """``fn`` on the [2, ...] inputs ``pair`` against ``fn`` on each hand's
+    slice; ``shared`` inputs serve both hands unsliced."""
+    shared = list(shared)
+    rng = np.random.default_rng(seed)
+    probes = [rng.uniform(-1, 1, out.shape) for out in _outputs(fn(*pair, *shared))]
+    outs2, grads2 = _run(fn, list(pair) + shared, probes)
+    shared_grads = [np.zeros(t.shape) for t in shared]
+    for i in range(2):
+        hand = [Tensor(t.data[i]) for t in pair]
+        outs1, grads1 = _run(fn, hand + shared, [p[i] for p in probes])
+        for o2, o1 in zip(outs2, outs1):
+            assert o2[i].shape == o1.shape
+            assert o2[i].tobytes() == o1.tobytes()
+        for g2, g1 in zip(grads2, grads1[:len(pair)]):
+            assert np.max(np.abs(g2[i] - g1)) <= GRAD_TOL
+        for acc, g1 in zip(shared_grads, grads1[len(pair):]):
+            acc += g1
+    for g2, acc in zip(grads2[len(pair):], shared_grads):
+        assert np.max(np.abs(g2 - acc)) <= GRAD_TOL
+
+
+def _leaf(rng, shape, lo=-1.0, hi=1.0):
+    return Tensor(rng.uniform(lo, hi, shape))
+
+
+@pytest.fixture(scope="module")
+def rig():
+    return hm.make_default_rig(seed=0)
+
+
+def test_lbs_pair_matches_single_hands(rig):
+    rng = np.random.default_rng(1)
+    theta = Tensor(rng.normal(0, 0.4, (2, 16, 3)))
+    theta.data[1, 3] = 0.0  # one joint on the small-angle branch
+    beta = Tensor(rng.normal(0, 1, (2, 10)))
+
+    def run(th, be):
+        out = hm.lbs(rig, th, be)
+        return out.vertices, out.joints
+    assert_pair_matches_singles(run, [theta, beta])
+
+
+def test_lbs_pair_keeps_the_regressor_exact(rig):
+    rng = np.random.default_rng(2)
+    out = hm.lbs(rig, Tensor(rng.normal(0, 0.4, (2, 16, 3))), Tensor(rng.normal(0, 1, (2, 10))))
+    for i in range(2):
+        assert np.array_equal(out.joints.data[i], rig.regressor @ out.vertices.data[i])
+
+
+def test_forward_kinematics_pair_matches_single_hands(rig):
+    theta = Tensor(np.random.default_rng(3).normal(0, 0.5, (2, 16, 3)))
+    assert_pair_matches_singles(lambda th: hm.forward_kinematics(rig, th), [theta])
+
+
+def test_grid_sample_pair_matches_single_maps():
+    rng = np.random.default_rng(4)
+    f = _leaf(rng, (2, 3, 5, 6), -2, 2)
+    # inside, on the border and outside the map
+    pts = Tensor(np.stack([rng.uniform(-1.5, 6.5, (2, 7)), rng.uniform(-1.5, 5.5, (2, 7))],
+                          axis=-1))
+    pts.data[0, 0] = [5.0, 4.0]
+    assert_pair_matches_singles(nn.grid_sample, [f, pts])
+
+
+def test_grid_sample_rejects_points_of_another_batch():
+    f = Tensor(np.zeros((2, 3, 4, 4)))
+    for shape in ((5, 2), (3, 5, 2), (2, 5, 3)):
+        with pytest.raises(ValueError, match="points must be"):
+            nn.grid_sample(f, Tensor(np.zeros(shape)))
+
+
+def test_soft_argmax_position_rows_match_single_rows():
+    rng = np.random.default_rng(5)
+    logits = _leaf(rng, (2, 4, 12), -40, 40)
+    rows = np.stack([np.arange(12.0) % 4, np.arange(12.0) // 4])  # ranges [0,3] and [0,2]
+    probe = rng.uniform(-1, 1, (2, 4, 2))
+    (out,), (g2,) = _run(lambda lg: soft_argmax(lg, rows), [logits], [probe])
+    assert out.shape == (2, 4, 2)
+    g1 = np.zeros(logits.shape)
+    for k in range(2):
+        (single,), (g,) = _run(lambda lg: soft_argmax(lg, rows[k]), [logits], [probe[..., k]])
+        assert out[..., k].tobytes() == single.tobytes()
+        assert np.all(out[..., k] >= 0) and np.all(out[..., k] <= rows[k].max())
+        g1 += g
+    assert np.max(np.abs(g2 - g1)) <= GRAD_TOL
+
+
+def test_conv1d_pair_matches_single_sequences():
+    rng = np.random.default_rng(6)
+    x, w, b = _leaf(rng, (2, 7, 5)), _leaf(rng, (5, 3)), _leaf(rng, 5)
+    assert_pair_matches_singles(ssm.depthwise_conv1d_causal, [x], [w, b])
+
+
+def test_linear_and_matmul_pairs_match_single_calls():
+    rng = np.random.default_rng(7)
+    w, b = _leaf(rng, (6, 4)), _leaf(rng, 4)
+    # a [2,1,K] stack of vectors multiplies each as its own one-row matrix
+    for shape in ((2, 5, 6), (2, 1, 6)):
+        assert_pair_matches_singles(nn.linear, [_leaf(rng, shape)], [w, b])
+    assert_pair_matches_singles(matmul, [_leaf(rng, (2, 3, 6))], [w])
+    assert_pair_matches_singles(lambda x, c: matmul(c, x), [_leaf(rng, (2, 4, 3))],
+                                [_leaf(rng, (5, 4))])
+    assert_pair_matches_singles(matmul, [_leaf(rng, (2, 4, 3, 3))], [_leaf(rng, (4, 3, 1))])
+
+
+def test_vmblock_pair_matches_single_sequences():
+    block = ssm.VmBlockLayer(6, state_dim=3, conv_width=3, rng=np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    block.out_proj.weight.data[:] = rng.normal(0, 0.3, block.out_proj.weight.shape)
+    block.mlp.fc2.weight.data[:] = rng.normal(0, 0.3, block.mlp.fc2.weight.shape)
+    x = _leaf(rng, (2, 5, 6))
+    assert_pair_matches_singles(lambda x, *_: block(x), [x], [t for _, t in block.params()])
+
+
+def test_refiner_pair_matches_blocks_run_per_hand():
+    cfg = PipelineConfig(image_h=16, image_w=16, backbone_channels=8, joints=5,
+                         depth_bins=4, vertices=244, vm_ife_depth=1, jvm_depth=2,
+                         state_dim=3, expand=2, conv_width=2, mlp_ratio=1, seed=4)
+    refiner = JointSequenceRefiner(cfg, np.random.default_rng(10))
+    rng = np.random.default_rng(11)
+    for _, t in refiner.params():  # wake the zero-initialized projections
+        if np.all(t.data == 0.0):
+            t.data[:] = rng.normal(0, 0.3, t.data.shape)
+    params = [t for _, t in refiner.params()]
+
+    def per_hand(x, *_):
+        for block in refiner.blocks:
+            x = block(x)
+        return x
+    feats = [_leaf(rng, (5, cfg.hand_channels)) for _ in range(2)]
+    probes = [rng.uniform(-1, 1, (5, cfg.hand_channels)) for _ in range(2)]
+    outs2, grads2 = _run(lambda a, b, *_: refiner(a, b), feats + params, probes)
+    param_grads = [np.zeros(t.shape) for t in params]
+    for i in range(2):
+        (out1,), grads1 = _run(per_hand, [feats[i]] + params, [probes[i]])
+        assert outs2[i].tobytes() == out1.tobytes()
+        assert np.max(np.abs(grads2[i] - grads1[0])) <= GRAD_TOL
+        for acc, g in zip(param_grads, grads1[1:]):
+            acc += g
+    for g2, acc in zip(grads2[2:], param_grads):
+        assert np.max(np.abs(g2 - acc)) <= GRAD_TOL
+
+
+def test_toy_forward_and_loss_stay_under_the_node_budget():
+    # one toy sample ran 444 op nodes with a per-hand loop in each hand stage
+    cfg = PipelineConfig.toy()
+    net = BimanualHandNet(cfg)
+    sample = tr.synth_dataset(cfg, net.rig, 1, seed=3)[0]
+    tags = collections.Counter()
+    with observe_ops(lambda tag, out, parents: tags.update([tag])):
+        tr.loss(net.forward(Tensor(sample.image)), sample)
+    assert sum(tags.values()) <= 350, tags
+    assert tags["grid_sample"] == 1

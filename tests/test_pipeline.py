@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from bihand import pipeline as pl
-from bihand.tensor import Tensor, no_grad
+from bihand.tensor import Tensor, no_grad, stack
 from bihand.gradcheck import fd_check
 
 
@@ -34,7 +34,7 @@ def identity_trunk(block):
 
 
 def passthrough_fusion(block):
-    c = block.c
+    c = block.fuse_l.weight.shape[0]
     w = np.zeros((c, 2 * c, 1, 1))
     w[:, :c, 0, 0] = np.eye(c)
     block.fuse_l.weight.data[:] = w
@@ -187,8 +187,8 @@ def test_extractor_near_delta_logits(toy_net):
     ext.heat_conv.bias.data[:] = 0.0
     f = np.zeros((cfg.hand_channels, 8, 8))
     f[0, 2, 5] = 1000.0
-    _, coords, _ = ext(Tensor(f))
-    npt.assert_allclose(coords.xy.data[0], [5.0, 2.0], atol=1e-6)
+    _, coords, _ = ext(Tensor(f), Tensor(f))
+    npt.assert_allclose(coords.xy.data[:, 0], [[5.0, 2.0]] * 2, atol=1e-6)
 
 
 def test_extractor_uniform_logits_give_center(toy_net):
@@ -196,9 +196,10 @@ def test_extractor_uniform_logits_give_center(toy_net):
     ext = pl.JointFeatureExtractor(cfg, np.random.default_rng(47))
     ext.heat_conv.weight.data[:] = 0.0
     ext.heat_conv.bias.data[:] = np.arange(cfg.joints)  # constant per joint
-    _, coords, _ = ext(Tensor(np.zeros((cfg.hand_channels, 8, 8))))
-    assert np.all(coords.xy.data[:, 0] == 3.5)
-    assert np.all(coords.xy.data[:, 1] == 3.5)
+    f = Tensor(np.zeros((cfg.hand_channels, 8, 8)))
+    _, coords, _ = ext(f, f)
+    assert np.all(coords.xy.data[..., 0] == 3.5)
+    assert np.all(coords.xy.data[..., 1] == 3.5)
 
 
 def test_extractor_coords_match_expectation_loops(toy_net):
@@ -206,21 +207,21 @@ def test_extractor_coords_match_expectation_loops(toy_net):
     ext = pl.JointFeatureExtractor(cfg, np.random.default_rng(53))
     rng = np.random.default_rng(59)
     f = Tensor(rng.uniform(-2, 2, (cfg.hand_channels, 8, 8)))
-    heat, coords, feats = ext(f)
+    (heat, _), coords, feats = ext(f, Tensor(np.zeros(f.shape)))
     logits = heat.spatial_logits.data
     for j in range(cfg.joints):
         w = np.exp(logits[j] - logits[j].max())
         w /= w.sum()
         ex = sum(w[y, x] * x for y in range(8) for x in range(8))
         ey = sum(w[y, x] * y for y in range(8) for x in range(8))
-        assert abs(coords.xy.data[j, 0] - ex) <= 1e-12
-        assert abs(coords.xy.data[j, 1] - ey) <= 1e-12
+        assert abs(coords.xy.data[0, j, 0] - ex) <= 1e-12
+        assert abs(coords.xy.data[0, j, 1] - ey) <= 1e-12
     dz = heat.depth_logits.data
     for j in range(cfg.joints):
         w = np.exp(dz[j] - dz[j].max())
         w /= w.sum()
         ez = (w * np.arange(cfg.depth_bins)).sum()
-        assert abs(coords.z.data[j] - ez) <= 1e-12
+        assert abs(coords.z.data[0, j] - ez) <= 1e-12
 
 
 def test_extractor_feature_hull(toy_net):
@@ -228,10 +229,10 @@ def test_extractor_feature_hull(toy_net):
     rng = np.random.default_rng(61)
     with no_grad():
         for _ in range(50):
-            out = toy_net.extractor_l(Tensor(rng.uniform(-9, 9, (cfg.hand_channels, 8, 8))))
-            _, coords, _ = out
-            assert np.all(coords.xy.data[:, 0] >= 0) and np.all(coords.xy.data[:, 0] <= 7)
-            assert np.all(coords.xy.data[:, 1] >= 0) and np.all(coords.xy.data[:, 1] <= 7)
+            f_l, f_r = (Tensor(rng.uniform(-9, 9, (cfg.hand_channels, 8, 8))) for _ in "lr")
+            _, coords, _ = toy_net.extractor_l(f_l, f_r)
+            assert np.all(coords.xy.data[..., 0] >= 0) and np.all(coords.xy.data[..., 0] <= 7)
+            assert np.all(coords.xy.data[..., 1] >= 0) and np.all(coords.xy.data[..., 1] <= 7)
             assert np.all(coords.z.data >= 0) and np.all(coords.z.data <= cfg.depth_bins - 1)
 
 
@@ -291,11 +292,12 @@ def test_regressor_zero_weights_zero_outputs():
                             z=Tensor(rng.uniform(0, 1, j)))
     refined = Tensor(rng.uniform(-1, 1, (j, c)))
     starred = Tensor(rng.uniform(-1, 1, (c, 2, 2)))
-    th_l, be_l, th_r, be_r, t_rel = reg(refined, coords, refined, coords, starred, starred)
-    assert th_l.shape == (16, 3) and th_l.data.size == 48
-    assert be_l.shape == (10,)
+    uvd = stack([coords.uvd(), coords.uvd()])
+    theta, beta, t_rel = reg(refined, refined, uvd, starred, starred)
+    assert theta.shape == (2, 16, 3) and theta.data.size == 96
+    assert beta.shape == (2, 10)
     assert t_rel.shape == (3,)
-    assert np.all(th_l.data == 0) and np.all(be_l.data == 0) and np.all(t_rel.data == 0)
+    assert np.all(theta.data == 0) and np.all(beta.data == 0) and np.all(t_rel.data == 0)
 
 
 def test_regressor_gradients():
@@ -317,8 +319,9 @@ def test_regressor_gradients():
          Tensor(rng.uniform(-1, 1, 3))]
 
     def run():
-        th_l, be_l, th_r, be_r, t_rel = reg(ref_l, coords_l, ref_r, coords_r, s_l, s_r)
-        return ((th_l * w[0]).sum() + (be_l * w[1]).sum() + (th_r * w[0]).sum()
+        theta, beta, t_rel = reg(ref_l, ref_r, stack([coords_l.uvd(), coords_r.uvd()]),
+                                 s_l, s_r)
+        return ((theta[0] * w[0]).sum() + (beta[0] * w[1]).sum() + (theta[1] * w[0]).sum()
                 + (t_rel * w[2]).sum())
 
     leaves = [coords_l.xy, coords_l.z, ref_l, s_l] + [t for _, t in reg.params()]

@@ -96,6 +96,20 @@ def test_scan_rejects_nan_zero_or_negative_delta(value):
         ssm.selective_scan(coeffs, Tensor(np.zeros((4, 2))))
 
 
+@pytest.mark.parametrize("value, later_nan, underflow", [
+    (np.nan, False, False), (0.0, False, True), (0.0, True, False), (-0.05, False, False)])
+def test_scan_guard_names_the_first_bad_delta(value, later_nan, underflow):
+    rng = np.random.default_rng(13)
+    coeffs = random_coeffs(rng, 4, 2, 3)
+    coeffs.delta.data[1, 0] = value
+    if later_nan:
+        coeffs.delta.data[3, 1] = np.nan
+    with pytest.raises(RuntimeError, match="requires strictly positive delta") as err:
+        ssm.selective_scan(coeffs, Tensor(np.zeros((4, 2))))
+    assert f"delta[1, 0] = {float(value)!r}" in str(err.value)
+    assert ("softplus underflow" in str(err.value)) == underflow
+
+
 def test_scan_linear_in_input_for_frozen_coeffs():
     rng = np.random.default_rng(17)
     coeffs = random_coeffs(rng, 8, 3, 4)

@@ -43,8 +43,9 @@ def test_matmul_against_triple_loop():
 
 
 def test_matmul_shape_error_names_both_shapes():
-    # inner dimension, rank and batch mismatches
-    for a, b in (((2, 3), (2, 3)), ((2, 3), (4, 3, 2)), ((2, 2, 3), (3, 3, 2))):
+    # inner dimension, rank and batch mismatches; a shorter operand is shared
+    # only when its leading dims are a suffix of the other's
+    for a, b in (((2, 3), (2, 3)), ((3, 2, 3), (4, 2, 3, 2)), ((2, 2, 3), (3, 3, 2))):
         with pytest.raises(ValueError, match=re.escape(f"{a} and {b}")):
             T.matmul(T.Tensor(np.zeros(a)), T.Tensor(np.zeros(b)))
 

@@ -350,6 +350,20 @@ def test_train_aborts_on_non_finite_loss():
         tr.train_loop(net, data, epochs=1, batch_size=2, lr=1e-3)
 
 
+def test_train_loop_names_a_softplus_underflow():
+    # finite everywhere, but softplus(-800) rounds to exactly 0: the scan's
+    # positive-delta guard must say so rather than report only a non-finite loss
+    cfg = train_config(seed=6)
+    net = BimanualHandNet(cfg)
+    data = tr.synth_dataset(cfg, net.rig, 1, seed=1)
+    dt_proj = net.refiner.blocks[0].ssm.dt_proj
+    dt_proj.weight.data[:] = 0.0
+    dt_proj.bias.data[:] = -800.0
+    with pytest.raises(RuntimeError, match=r"non-finite loss at step 0: .*requires strictly "
+                                           r"positive delta.*delta\[0, 0\] = 0\.0.*underflow"):
+        tr.train_loop(net, data, epochs=1, batch_size=1, lr=1e-3)
+
+
 @pytest.mark.parametrize("epochs, batch_size, n, match", [
     (0, 2, 2, "epochs=0"),
     (1, 0, 2, "batch_size=0"),
