@@ -265,9 +265,8 @@ def _check_end_to_end(rng):
     return fd_check(run, leaves, max_coords_per_leaf=2, rng=rng)
 
 
-def run_gradcheck(corrupt=None, stream=None):
+def run_gradcheck(corrupt=None):
     """Run every registered check once; returns (all_passed, report rows)."""
-    stream = stream or sys.stdout
     if corrupt:
         set_gradient_corruption(corrupt)
     rows = []
@@ -277,7 +276,7 @@ def run_gradcheck(corrupt=None, stream=None):
             ok = err <= tol
             rows.append((name, err, tol, ok))
             print(f"{name:16s} max_rel_err={err:.3e}  tol={tol:.0e}  "
-                  f"{'ok' if ok else 'FAIL'}", file=stream)
+                  f"{'ok' if ok else 'FAIL'}")
     finally:
         set_gradient_corruption(None)
     return all(r[3] for r in rows), rows

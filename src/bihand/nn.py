@@ -19,27 +19,23 @@ class Module:
     order is checkpoint record order. A Tensor attribute ``x`` is recorded
     as ``x``; a Module attribute ``m`` contributes its own records as
     ``m.<name>``; element i of a list attribute such as ``blocks`` is named
-    ``block{i}`` (the trailing "s" dropped). An object reached a second time,
-    such as a head shared by both hands, is recorded once under its first
-    name. Every other attribute (ints, arrays, configs, the rig) is skipped.
+    ``block{i}`` (the trailing "s" dropped). Every other attribute (ints,
+    arrays, configs, the rig) is skipped.
     """
 
     def params(self):
-        return self._records("", set())
+        return self._records("")
 
-    def _records(self, prefix, seen):
+    def _records(self, prefix):
         out = []
         for attr, value in vars(self).items():
             items = ([(f"{attr[:-1]}{i}", v) for i, v in enumerate(value)]
                      if isinstance(value, list) else [(attr, value)])
             for name, obj in items:
-                if not isinstance(obj, (Tensor, Module)) or id(obj) in seen:
-                    continue
-                seen.add(id(obj))
                 if isinstance(obj, Tensor):
                     out.append((prefix + name, obj))
-                else:
-                    out += obj._records(f"{prefix}{name}.", seen)
+                elif isinstance(obj, Module):
+                    out += obj._records(f"{prefix}{name}.")
         return out
 
 

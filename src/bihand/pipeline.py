@@ -302,13 +302,11 @@ class JointSequenceRefiner(Module):
                                     mlp_ratio=config.mlp_ratio, rng=rng)
                        for _ in range(config.jvm_depth)]
 
-    def __call__(self, feats_l, feats_r):
-        if feats_l.shape != feats_r.shape:
-            raise ValueError(f"joint features disagree: {feats_l.shape} vs {feats_r.shape}")
-        x = stack([feats_l, feats_r])
+    def __call__(self, x):
+        """Both hands' joint features [2,J,c] (or any shape the blocks take), refined."""
         for block in self.blocks:
             x = block(x)
-        return x[0], x[1]
+        return x
 
 
 class DualHandRegressor(Module):
@@ -335,10 +333,10 @@ class DualHandRegressor(Module):
         self.beta_fc_l = Linear(c, BETA_DIM, zero_init=True)
         self.trel_fc = Linear(2 * c, 3, zero_init=True)
 
-    def __call__(self, refined_l, refined_r, uvd, starred_l, starred_r):
+    def __call__(self, refined, uvd, starred_l, starred_r):
         """Both hands' pose [2,16,3] and shape [2,10], from their refined features
-        and joint coordinates ``uvd`` [2,J,3]; and the relative translation [3]."""
-        refined = stack([refined_l, refined_r])
+        ``refined`` [2,J,c] and joint coordinates ``uvd`` [2,J,3]; and the
+        relative translation [3]."""
         packed = concat([refined, uvd * Tensor(self.coord_scale)], axis=2)
         # each hand's input is its own one-row matrix, as when the hands ran apart
         theta = reshape(self.theta_fc_l(reshape(packed, (2, 1, -1))), (2,) + THETA_SHAPE)
@@ -366,19 +364,19 @@ class BimanualHandNet(Module):
         f_l, f_r = self.backbone(img)
         starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r) = self.interaction(f_l, f_r)
         (heat_l, heat_r), coords, feats = self.extractor_l(starred_l, starred_r)
-        feats_l, feats_r = feats[0], feats[1]
-        ref_l, ref_r = self.refiner(feats_l, feats_r)
+        refined = self.refiner(feats)
         uvd = coords.uvd()
-        theta, beta, t_rel = self.regressor(ref_l, ref_r, uvd, starred_l, starred_r)
+        theta, beta, t_rel = self.regressor(refined, uvd, starred_l, starred_r)
         hands = handmodel.lbs(self.rig, theta, beta)
 
+        # the one place the pair is split per hand: the per-hand output fields
         aux = PipelineIntermediates(
             f_l=f_l, f_r=f_r, enh_l=enh_l, enh_r=enh_r, inter_l=inter_l, inter_r=inter_r,
             starred_l=starred_l, starred_r=starred_r, heatmap_l=heat_l, heatmap_r=heat_r,
             coords_l=JointCoords(coords.xy[0], coords.z[0]),
             coords_r=JointCoords(coords.xy[1], coords.z[1]),
-            joint_feats_l=feats_l, joint_feats_r=feats_r, refined_feats_l=ref_l,
-            refined_feats_r=ref_r)
+            joint_feats_l=feats[0], joint_feats_r=feats[1], refined_feats_l=refined[0],
+            refined_feats_r=refined[1])
         return FullOutput(
             theta_l=theta[0], theta_r=theta[1], beta_l=beta[0], beta_r=beta[1],
             joints_uvd_l=uvd[0], joints_uvd_r=uvd[1],

@@ -54,10 +54,10 @@ class SceneCamera:
     left_root_mm: tuple = (-20.0, 0.0, 0.0)
 
     def project_px(self, points_mm, image_h, image_w):
-        """World mm -> image pixel (x, y); y follows the row axis."""
+        """World mm [..., 3] -> image pixel (x, y) [..., 2]; y follows the row axis."""
         cx, cy = (image_w - 1) / 2.0, (image_h - 1) / 2.0
-        return np.stack([cx + self.px_per_mm * points_mm[:, 0],
-                         cy + self.px_per_mm * points_mm[:, 1]], axis=1)
+        return np.stack([cx + self.px_per_mm * points_mm[..., 0],
+                         cy + self.px_per_mm * points_mm[..., 1]], axis=-1)
 
     def depth_to_bin(self, z_mm, depth_bins):
         frac = (z_mm + self.depth_range_mm) / (2.0 * self.depth_range_mm)
@@ -203,25 +203,17 @@ def synth_dataset(config, rig, n, seed, noise=0.0):
         roots = np.stack([np.asarray(camera.left_root_mm),
                           np.asarray(camera.left_root_mm) + t_rel])
 
-        joints, vertices, uvd, px = [], [], [], []
         with no_grad():
-            for h in range(2):
-                out = handmodel.lbs(rig, Tensor(theta[h]), Tensor(beta[h]))
-                joints.append(out.joints.data)
-                vertices.append(out.vertices.data)
-                world = out.joints.data + roots[h]
-                pts = camera.project_px(world, config.image_h, config.image_w)
-                px.append(pts)
-                uvd.append(np.concatenate(
-                    [pts / divisor,
-                     camera.depth_to_bin(world[:, 2], config.depth_bins)[:, None]],
-                    axis=1))
+            hands = handmodel.lbs(rig, Tensor(theta), Tensor(beta))
+        joints, vertices = hands.joints.data, hands.vertices.data
+        world = joints + roots[:, None]
+        px = camera.project_px(world, config.image_h, config.image_w)
+        uvd = np.concatenate(
+            [px / divisor, camera.depth_to_bin(world[..., 2], config.depth_bins)[..., None]],
+            axis=-1)
 
-        img = np.stack([
-            render_gaussian_blobs(px[0], config.image_h, config.image_w),
-            render_gaussian_blobs(px[1], config.image_h, config.image_w),
-            np.zeros((config.image_h, config.image_w))])
-        img[2] = img[0] + img[1]
+        blobs = [render_gaussian_blobs(pts, config.image_h, config.image_w) for pts in px]
+        img = np.stack(blobs + [blobs[0] + blobs[1]])
         if noise > 0.0:
             img = img + rng.normal(0.0, noise, img.shape)
 
@@ -244,12 +236,10 @@ def hands_overlap(sample, config):
     camera = SceneCamera()
     roots = np.stack([np.asarray(camera.left_root_mm),
                       np.asarray(camera.left_root_mm) + sample.gt_t_rel])
-    boxes = []
-    for joints, root in ((sample.gt_joints_l, roots[0]), (sample.gt_joints_r, roots[1])):
-        pts = camera.project_px(joints + root, config.image_h, config.image_w)
-        boxes.append((pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max()))
-    (ax0, ax1, ay0, ay1), (bx0, bx1, by0, by1) = boxes
-    return ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
+    world = np.stack([sample.gt_joints_l, sample.gt_joints_r]) + roots[:, None]
+    pts = camera.project_px(world, config.image_h, config.image_w)  # [2, 21, 2]
+    # each hand's box starts no later than the other's ends, in x and in y
+    return bool(np.all(pts.min(axis=1) <= pts.max(axis=1)[::-1]))
 
 
 # -- metrics ----------------------------------------------------------------------

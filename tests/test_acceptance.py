@@ -16,7 +16,7 @@ from bihand.nn import NonLocalBlock, grid_sample
 from bihand.pipeline import (BimanualHandNet, JointSequenceRefiner,
                              PipelineConfig, soft_argmax)
 from bihand.ssm import VmBlockLayer
-from bihand.tensor import Tensor, no_grad
+from bihand.tensor import Tensor, no_grad, stack
 
 
 def report(criterion, ok, detail):
@@ -222,7 +222,7 @@ def test_criterion_3_zero_init_identities():
     refiner = JointSequenceRefiner(cfg, np.random.default_rng(1))
     a = Tensor(rng.uniform(-1, 1, (5, 2)))
     b = Tensor(rng.uniform(-1, 1, (5, 2)))
-    ra, rb = refiner(a, b)
+    ra, rb = refiner(stack([a, b]))
     ok &= np.array_equal(ra.data, a.data) and np.array_equal(rb.data, b.data)
 
     attn = NonLocalBlock(6, np.random.default_rng(2))  # z starts at zero

@@ -160,24 +160,9 @@ def test_refiner_pair_matches_blocks_run_per_hand():
     for _, t in refiner.params():  # wake the zero-initialized projections
         if np.all(t.data == 0.0):
             t.data[:] = rng.normal(0, 0.3, t.data.shape)
-    params = [t for _, t in refiner.params()]
-
-    def per_hand(x, *_):
-        for block in refiner.blocks:
-            x = block(x)
-        return x
-    feats = [_leaf(rng, (5, cfg.hand_channels)) for _ in range(2)]
-    probes = [rng.uniform(-1, 1, (5, cfg.hand_channels)) for _ in range(2)]
-    outs2, grads2 = _run(lambda a, b, *_: refiner(a, b), feats + params, probes)
-    param_grads = [np.zeros(t.shape) for t in params]
-    for i in range(2):
-        (out1,), grads1 = _run(per_hand, [feats[i]] + params, [probes[i]])
-        assert outs2[i].tobytes() == out1.tobytes()
-        assert np.max(np.abs(grads2[i] - grads1[0])) <= GRAD_TOL
-        for acc, g in zip(param_grads, grads1[1:]):
-            acc += g
-    for g2, acc in zip(grads2[2:], param_grads):
-        assert np.max(np.abs(g2 - acc)) <= GRAD_TOL
+    feats = _leaf(rng, (2, 5, cfg.hand_channels))
+    assert_pair_matches_singles(lambda x, *_: refiner(x), [feats],
+                                [t for _, t in refiner.params()])
 
 
 def test_toy_forward_and_loss_stay_under_the_node_budget():

@@ -380,7 +380,6 @@ class _Tree(nn.Module):
         self.scale = Tensor(np.ones(3), requires_grad=True)
         self.blocks = [nn.Linear(3, 3, rng=rng), nn.LayerNormLayer(3)]
         self.head_l = nn.Linear(3, 1, zero_init=True)
-        self.head_r = self.head_l                 # alias: registered once
 
 
 def test_module_registry_walks_declaration_order():
@@ -388,4 +387,4 @@ def test_module_registry_walks_declaration_order():
     names = [n for n, _ in tree.params()]
     assert names == ["scale", "block0.weight", "block0.bias", "block1.gamma",
                      "block1.beta", "head_l.weight", "head_l.bias"]
-    assert tree.params()[-1][1] is tree.head_r.bias
+    assert tree.params()[-1][1] is tree.head_l.bias

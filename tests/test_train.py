@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from bihand import tensor as T
 from bihand import train as tr
-from bihand.handmodel import make_default_rig
+from bihand.handmodel import lbs, make_default_rig
 from bihand.pipeline import (BimanualHandNet, FullOutput, PipelineConfig,
                              PipelineIntermediates)
 from bihand.tensor import Tensor
@@ -203,6 +204,32 @@ def test_synth_gt_regenerates_through_rig(toy_setup):
             out = lbs(net.rig, Tensor(sample.gt_theta_l), Tensor(sample.gt_beta_l))
         assert np.max(np.abs(out.joints.data - sample.gt_joints_l)) <= 1e-9
         assert np.max(np.abs(out.vertices.data - sample.gt_vertices_l)) <= 1e-9
+
+
+def test_synth_gt_of_each_hand_has_the_bits_of_a_single_hand_rig_call(toy_setup):
+    # both hands are skinned in one lbs call; each keeps the bits it gets alone
+    cfg, net, data = toy_setup
+    for sample in data:
+        for hand in "lr":
+            with T.no_grad():
+                out = lbs(net.rig, Tensor(getattr(sample, f"gt_theta_{hand}")),
+                          Tensor(getattr(sample, f"gt_beta_{hand}")))
+            assert out.joints.data.tobytes() == getattr(sample, f"gt_joints_{hand}").tobytes()
+            assert (out.vertices.data.tobytes()
+                    == getattr(sample, f"gt_vertices_{hand}").tobytes())
+
+
+@pytest.mark.parametrize("t_rel", [(200.0, 0.0, 0.0), (-200.0, 0.0, 0.0), (0.0, 200.0, 0.0),
+                                   (0.0, -200.0, 0.0)])
+def test_hands_apart_fall_in_the_single_split(toy_setup, t_rel):
+    # the synthetic +-30 mm translations always overlap the hands, so only a
+    # sample built with them apart reaches the "single" split
+    cfg, net, data = toy_setup
+    assert tr.hands_overlap(data[0], cfg)
+    apart = dataclasses.replace(data[0], gt_t_rel=np.array(t_rel))
+    assert not tr.hands_overlap(apart, cfg)
+    metrics = tr.evaluate(net, [apart])
+    assert np.isfinite(metrics["mpjpe_single"]) and np.isnan(metrics["mpjpe_two"])
 
 
 def test_synth_deterministic_per_seed(toy_setup):
