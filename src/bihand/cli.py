@@ -222,20 +222,15 @@ def _check_loss(rng):
     cfg = PipelineConfig.toy(seed=1)
     net = BimanualHandNet(cfg)
     sample = tr.synth_dataset(cfg, net.rig, 1, seed=4)[0]
-    out = net.forward(Tensor(sample.image))
     preds = {
-        "theta_l": Tensor(rng.normal(0, 0.3, (16, 3)), requires_grad=True),
-        "beta_l": Tensor(rng.normal(0, 1, 10), requires_grad=True),
+        "theta": Tensor(rng.normal(0, 0.3, (2, 16, 3)), requires_grad=True),
+        "beta": Tensor(rng.normal(0, 1, (2, 10)), requires_grad=True),
         "t_rel": Tensor(rng.uniform(-20, 20, 3), requires_grad=True),
-        "vertices_l": Tensor(rng.normal(0, 20, (cfg.vertices, 3)), requires_grad=True),
+        "vertices": Tensor(rng.normal(0, 20, (2, cfg.vertices, 3)), requires_grad=True),
     }
-
-    def run():
-        for name, t in preds.items():
-            setattr(out, name, t)
-        return tr.loss(out, sample) * 0.05
-
-    return fd_check(run, list(preds.values()), max_coords_per_leaf=12, rng=rng)
+    out = dataclasses.replace(net.forward(Tensor(sample.image)), **preds)
+    return fd_check(lambda: tr.loss(out, sample) * 0.05, list(preds.values()),
+                    max_coords_per_leaf=12, rng=rng)
 
 
 @_gradcheck("end_to_end", 71, tol=END_TO_END_TOLERANCE)
@@ -245,9 +240,7 @@ def _check_end_to_end(rng):
         if np.all(t.data == 0.0):
             t.data[:] = rng.normal(0, 0.1, t.data.shape)
     img = Tensor(rng.uniform(0, 1, (3, 64, 64)))
-    scales = {"theta_l": 1.0, "theta_r": 1.0, "beta_l": 0.1, "beta_r": 0.1,
-              "joints_uvd_l": 0.05, "joints_uvd_r": 0.05,
-              "vertices_l": 0.005, "vertices_r": 0.005, "t_rel": 0.03}
+    scales = {"theta": 1.0, "beta": 0.1, "joints_uvd": 0.05, "vertices": 0.005, "t_rel": 0.03}
     probes = {}
 
     def run():
@@ -539,6 +532,9 @@ def main(argv=None):
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

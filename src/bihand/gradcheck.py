@@ -54,15 +54,18 @@ def fd_check(fn, leaves, eps=DEFAULT_EPS, rtol=DEFAULT_RTOL, floor=DEFAULT_FLOOR
     """Compare analytic and numeric gradients of ``fn`` w.r.t. ``leaves``.
 
     ``fn`` must rebuild the graph on every call and return a scalar Tensor.
-    Returns the worst relative error across all checked coordinates.
+    Returns the worst relative error across all checked coordinates; a leaf
+    that ``fn`` gives no gradient is a ValueError, not a check of zeros.
     """
     for leaf in leaves:
         leaf.zero_grad()
         leaf.requires_grad = True
     out = fn()
     out.backward()
-    analytic = [np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad.copy()
-                for leaf in leaves]
+    for index, leaf in enumerate(leaves):
+        if leaf.grad is None:
+            raise ValueError(f"leaf {index} of shape {leaf.shape} gets no gradient from fn")
+    analytic = [leaf.grad.copy() for leaf in leaves]
     reset_grads(out)
 
     worst = 0.0

@@ -152,28 +152,29 @@ class PipelineIntermediates:
     starred_r: Tensor = None
     heatmap_l: Heatmap2p5D = None
     heatmap_r: Heatmap2p5D = None
-    coords_l: JointCoords = None
-    coords_r: JointCoords = None
-    joint_feats_l: Tensor = None    # [J, c] sampled at the decoded joints
-    joint_feats_r: Tensor = None
-    refined_feats_l: Tensor = None  # [J, c] after the joint refiner
-    refined_feats_r: Tensor = None
+    coords: JointCoords = None      # [2, J, ...] both hands' decoded joints
+    joint_feats: Tensor = None      # [2, J, c] sampled at the decoded joints
+    refined_feats: Tensor = None    # [2, J, c] after the joint refiner
 
 
 @dataclass
 class FullOutput:
-    theta_l: Tensor       # [16, 3] axis-angle
-    theta_r: Tensor
-    beta_l: Tensor        # [10]
-    beta_r: Tensor
-    joints_uvd_l: Tensor  # [J, 3] heatmap-frame (x, y, depth-bin)
-    joints_uvd_r: Tensor
-    joints_mm_l: Tensor   # [21, 3] regressed from the posed mesh
-    joints_mm_r: Tensor
-    vertices_l: Tensor    # [V, 3] mm
-    vertices_r: Tensor
+    """Both hands' outputs, left first along the leading axis."""
+    theta: Tensor         # [2, 16, 3] axis-angle
+    beta: Tensor          # [2, 10]
+    joints_uvd: Tensor    # [2, J, 3] heatmap-frame (x, y, depth-bin)
+    joints_mm: Tensor     # [2, 21, 3] regressed from the posed mesh
+    vertices: Tensor      # [2, V, 3] mm
     t_rel: Tensor         # [3] mm
     aux: PipelineIntermediates = field(default_factory=PipelineIntermediates)
+
+
+# Read-only per-hand views (``theta_l``, ``vertices_r``, ...), built when read,
+# for readers outside the package that still take one hand at a time.
+for _name in ("theta", "beta", "joints_uvd", "joints_mm", "vertices"):
+    for _index, _hand in enumerate("lr"):
+        setattr(FullOutput, f"{_name}_{_hand}",
+                property(lambda out, name=_name, index=_index: getattr(out, name)[index]))
 
 
 # -- network stages -------------------------------------------------------------
@@ -369,20 +370,12 @@ class BimanualHandNet(Module):
         theta, beta, t_rel = self.regressor(refined, uvd, starred_l, starred_r)
         hands = handmodel.lbs(self.rig, theta, beta)
 
-        # the one place the pair is split per hand: the per-hand output fields
         aux = PipelineIntermediates(
             f_l=f_l, f_r=f_r, enh_l=enh_l, enh_r=enh_r, inter_l=inter_l, inter_r=inter_r,
             starred_l=starred_l, starred_r=starred_r, heatmap_l=heat_l, heatmap_r=heat_r,
-            coords_l=JointCoords(coords.xy[0], coords.z[0]),
-            coords_r=JointCoords(coords.xy[1], coords.z[1]),
-            joint_feats_l=feats[0], joint_feats_r=feats[1], refined_feats_l=refined[0],
-            refined_feats_r=refined[1])
-        return FullOutput(
-            theta_l=theta[0], theta_r=theta[1], beta_l=beta[0], beta_r=beta[1],
-            joints_uvd_l=uvd[0], joints_uvd_r=uvd[1],
-            joints_mm_l=hands.joints[0], joints_mm_r=hands.joints[1],
-            vertices_l=hands.vertices[0], vertices_r=hands.vertices[1],
-            t_rel=t_rel, aux=aux)
+            coords=coords, joint_feats=feats, refined_feats=refined)
+        return FullOutput(theta=theta, beta=beta, joints_uvd=uvd, joints_mm=hands.joints,
+                          vertices=hands.vertices, t_rel=t_rel, aux=aux)
 
     __call__ = forward
 

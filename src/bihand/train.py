@@ -92,26 +92,31 @@ class TrainingSample:
                 "gt_vertices_l": vertices, "gt_vertices_r": vertices, "gt_t_rel": (3,)}
 
 
-def mae(pred, target, term):
-    if pred.shape != tuple(target.shape):
-        raise ValueError(f"loss term {term!r}: prediction shape {pred.shape} "
-                         f"does not match target {tuple(target.shape)}")
-    return abs(pred - Tensor(target)).mean()
+def mae(pred, target, term, hands=""):
+    """Mean absolute error of ``pred`` against ``target``. With ``hands``, the
+    hand suffixes in pair order, ``pred`` leads with the hand axis, ``target``
+    holds one array per hand, and the result is each hand's error. A target
+    of another shape is a ValueError naming its term."""
+    lead = (len(hands),) if hands else ()
+    for name, t in [(f"{term}_{h}", t) for h, t in zip(hands, target)] or [(term, target)]:
+        if pred.shape != lead + np.shape(t):
+            raise ValueError(f"loss term {name!r}: prediction shape {pred.shape} "
+                             f"does not match target {lead + np.shape(t)}")
+    if hands:
+        target = np.stack(target)
+    return abs(pred - Tensor(target)).mean(axis=tuple(range(1, pred.ndim)) if hands else None)
 
 
 def loss_terms(pred, gt):
-    """The nine mean-absolute-error terms, keyed as in the trace CSV."""
-    return {
-        "theta_l": mae(pred.theta_l, gt.gt_theta_l, "theta_l"),
-        "theta_r": mae(pred.theta_r, gt.gt_theta_r, "theta_r"),
-        "beta_l": mae(pred.beta_l, gt.gt_beta_l, "beta_l"),
-        "beta_r": mae(pred.beta_r, gt.gt_beta_r, "beta_r"),
-        "joint_l": mae(pred.joints_uvd_l, gt.gt_joints_uvd_l, "joint_l"),
-        "joint_r": mae(pred.joints_uvd_r, gt.gt_joints_uvd_r, "joint_r"),
-        "vert_l": mae(pred.vertices_l, gt.gt_vertices_l, "vert_l"),
-        "vert_r": mae(pred.vertices_r, gt.gt_vertices_r, "vert_r"),
-        "trel": mae(pred.t_rel, gt.gt_t_rel, "trel"),
-    }
+    """The nine mean-absolute-error terms, keyed as in the trace CSV; each
+    pair quantity's two hand terms come from one error vector over the pair."""
+    terms = {}
+    for term, name in (("theta", "theta"), ("beta", "beta"), ("joint", "joints_uvd"),
+                       ("vert", "vertices")):
+        err = mae(getattr(pred, name), [getattr(gt, f"gt_{name}_{h}") for h in "lr"], term, "lr")
+        terms[f"{term}_l"], terms[f"{term}_r"] = err[0], err[1]
+    terms["trel"] = mae(pred.t_rel, gt.gt_t_rel, "trel")
+    return terms
 
 
 def weighted_sum(terms, weights):
@@ -274,10 +279,10 @@ def evaluate(net, dataset):
     for sample in dataset:
         with no_grad():
             out = net.forward(Tensor(sample.image))
-        pj = 0.5 * (mpjpe(out.joints_mm_l.data, sample.gt_joints_l)
-                    + mpjpe(out.joints_mm_r.data, sample.gt_joints_r))
-        pv = 0.5 * (mpvpe(out.vertices_l.data, sample.gt_vertices_l, net.rig.regressor)
-                    + mpvpe(out.vertices_r.data, sample.gt_vertices_r, net.rig.regressor))
+        joints, vertices = out.joints_mm.data, out.vertices.data
+        pj = 0.5 * (mpjpe(joints[0], sample.gt_joints_l) + mpjpe(joints[1], sample.gt_joints_r))
+        pv = 0.5 * (mpvpe(vertices[0], sample.gt_vertices_l, net.rig.regressor)
+                    + mpvpe(vertices[1], sample.gt_vertices_r, net.rig.regressor))
         split = "two" if hands_overlap(sample, net.config) else "single"
         rows[split].append((pj, pv))
 

@@ -347,6 +347,14 @@ def test_count_reports_reference(capsys):
     assert "toy" in out and "full" in out
 
 
+def test_out_of_memory_is_named_exit_1(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 6.79 GiB")
+    monkeypatch.setattr(cli, "cmd_count", exhausted)
+    assert run(["count"]) == 1
+    assert "error: out of memory: Unable to allocate 6.79 GiB" in capsys.readouterr().err
+
+
 def test_unknown_command_exit_2(capsys):
     assert run(["frobnicate"]) == 2
 

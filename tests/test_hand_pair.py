@@ -1,7 +1,8 @@
 """The hand pair as a leading axis of 2: every kernel and stage that takes it
 gives, for each hand, the forward bits of a call on that hand alone, and
 gradients within 1e-12 of the two single calls' (a shared weight's gradient
-is the sum of the hands'). The whole network stays under a node budget."""
+is the sum of the hands'). The whole network stays under a node budget, and
+its outputs keep the pair as one tensor from the forward to the loss."""
 
 import collections
 
@@ -11,7 +12,7 @@ import pytest
 from bihand import handmodel as hm
 from bihand import nn, ssm, train as tr
 from bihand.pipeline import BimanualHandNet, JointSequenceRefiner, PipelineConfig, soft_argmax
-from bihand.tensor import Tensor, matmul, observe_ops
+from bihand.tensor import Tensor, _toposort, matmul, no_grad, observe_ops
 
 GRAD_TOL = 1e-12
 
@@ -175,3 +176,43 @@ def test_toy_forward_and_loss_stay_under_the_node_budget():
         tr.loss(net.forward(Tensor(sample.image)), sample)
     assert sum(tags.values()) <= 350, tags
     assert tags["grid_sample"] == 1
+
+
+def _toy_training_sample():
+    cfg = PipelineConfig.toy()
+    net = BimanualHandNet(cfg)
+    return net, tr.synth_dataset(cfg, net.rig, 1, seed=3)[0]
+
+
+def test_toy_forward_and_loss_keep_the_pair_under_the_tighter_budget():
+    # 336 op nodes while forward split the pair into per-hand outputs
+    net, sample = _toy_training_sample()
+    tags = collections.Counter()
+    with observe_ops(lambda tag, out, parents: tags.update([tag])):
+        tr.loss(net.forward(Tensor(sample.image)), sample)
+    assert sum(tags.values()) <= 320, tags
+    assert tags["abs"] == 5  # one L1 chain per pair quantity, and one for t_rel
+
+
+def test_every_training_op_but_the_joint_regression_reaches_the_loss():
+    net, sample = _toy_training_sample()
+    ran = []  # keeps each output array alive, so its id names one node
+    with observe_ops(lambda tag, out, parents: ran.append((tag, out))):
+        total = tr.loss(net.forward(Tensor(sample.image)), sample)
+    reached = {id(node.data) for node in _toposort(total)}
+    unreached = [(tag, out.shape) for tag, out in ran if id(out) not in reached]
+    # lbs regresses the joints off the posed mesh; the loss supervises the mesh itself
+    assert unreached == [("matmul", (2, 21, 3))]
+
+
+def test_per_hand_output_views_are_read_only_slices_of_the_pair():
+    net, sample = _toy_training_sample()
+    with no_grad():
+        out = net.forward(Tensor(sample.image))
+    for name in ("theta", "beta", "joints_uvd", "joints_mm", "vertices"):
+        pair = getattr(out, name).data
+        for index, hand in enumerate("lr"):
+            view = getattr(out, f"{name}_{hand}")
+            assert view.data.tobytes() == pair[index].tobytes()
+            with pytest.raises(AttributeError):
+                setattr(out, f"{name}_{hand}", view)

@@ -326,11 +326,11 @@ def test_forward_output_shapes(toy_net):
     rng = np.random.default_rng(109)
     with no_grad():
         out = toy_net.forward(Tensor(rng.uniform(0, 1, (3, 64, 64))))
-    assert out.theta_l.shape == (16, 3) and out.theta_r.shape == (16, 3)
-    assert out.beta_l.shape == (10,) and out.beta_r.shape == (10,)
-    assert out.joints_uvd_l.shape == (21, 3)
-    assert out.joints_mm_l.shape == (21, 3)
-    assert out.vertices_l.shape == (252, 3)
+    assert out.theta.shape == (2, 16, 3)
+    assert out.beta.shape == (2, 10)
+    assert out.joints_uvd.shape == (2, 21, 3)
+    assert out.joints_mm.shape == (2, 21, 3)
+    assert out.vertices.shape == (2, 252, 3)
     assert out.t_rel.shape == (3,)
 
 
@@ -353,9 +353,10 @@ def test_forward_exposes_all_intermediates(toy_net):
         assert getattr(aux, name) is not None
     assert aux.heatmap_l.spatial_logits.shape == (21, 8, 8)
     assert aux.heatmap_l.depth_logits.shape == (21, 16)
-    assert aux.coords_l.xy.shape == (21, 2)  # sampling positions
+    assert aux.coords.xy.shape == (2, 21, 2)  # sampling positions
+    assert aux.coords.z.shape == (2, 21)
     assert aux.f_l.shape == aux.starred_r.shape == (16, 8, 8)
-    assert aux.joint_feats_l.shape == aux.refined_feats_r.shape == (21, 16)
+    assert aux.joint_feats.shape == aux.refined_feats.shape == (2, 21, 16)
 
 
 def test_full_network_gradients_small_config():

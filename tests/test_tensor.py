@@ -276,6 +276,13 @@ def test_gradient_corruption_hook_is_detected():
     assert err > 1e-3
 
 
+def test_fd_check_refuses_a_leaf_the_function_does_not_reach():
+    x = T.Tensor([0.3, -0.7], requires_grad=True)
+    unused = T.Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match=re.escape("leaf 1 of shape (2, 3)")):
+        fd_check(lambda: (x * x).sum(), [x, unused])
+
+
 def test_rel_error_floor():
     assert rel_error(np.array([1e-10]), np.array([0.0])) <= 1e-6
     assert rel_error(np.array([1.0]), np.array([1.0 + 1e-5])) > 1e-6

@@ -23,16 +23,11 @@ def small_config(**over):
 
 def make_output(rng, cfg, v):
     return FullOutput(
-        theta_l=Tensor(rng.normal(0, 0.3, (16, 3))),
-        theta_r=Tensor(rng.normal(0, 0.3, (16, 3))),
-        beta_l=Tensor(rng.normal(0, 1, 10)),
-        beta_r=Tensor(rng.normal(0, 1, 10)),
-        joints_uvd_l=Tensor(rng.uniform(0, 4, (cfg.joints, 3))),
-        joints_uvd_r=Tensor(rng.uniform(0, 4, (cfg.joints, 3))),
-        joints_mm_l=Tensor(rng.normal(0, 30, (21, 3))),
-        joints_mm_r=Tensor(rng.normal(0, 30, (21, 3))),
-        vertices_l=Tensor(rng.normal(0, 30, (v, 3))),
-        vertices_r=Tensor(rng.normal(0, 30, (v, 3))),
+        theta=Tensor(rng.normal(0, 0.3, (2, 16, 3))),
+        beta=Tensor(rng.normal(0, 1, (2, 10))),
+        joints_uvd=Tensor(rng.uniform(0, 4, (2, cfg.joints, 3))),
+        joints_mm=Tensor(rng.normal(0, 30, (2, 21, 3))),
+        vertices=Tensor(rng.normal(0, 30, (2, v, 3))),
         t_rel=Tensor(rng.uniform(-30, 30, 3)),
         aux=PipelineIntermediates())
 
@@ -126,6 +121,26 @@ def test_loss_shape_mismatch_names_term():
     gt.gt_beta_r = np.zeros(11)
     with pytest.raises(ValueError, match="beta_r"):
         tr.loss(out, gt)
+
+
+def test_pair_mae_gives_each_hand_the_bits_of_its_own_mean():
+    rng = np.random.default_rng(13)
+    for shape in ((16, 3), (10,), (21, 3), (244, 3), (37, 3)):
+        for _ in range(50):
+            pred = Tensor(rng.normal(0, 30, (2,) + shape))
+            left, right = rng.normal(0, 30, (2,) + shape)
+            err = tr.mae(pred, (left, right), "x", hands="lr")
+            assert err.shape == (2,)
+            assert err.data[0] == tr.mae(Tensor(pred.data[0]), left, "x_l").data
+            assert err.data[1] == tr.mae(Tensor(pred.data[1]), right, "x_r").data
+
+
+def test_pair_mae_names_the_hand_of_a_mismatched_target():
+    pred = Tensor(np.zeros((2, 16, 3)))
+    with pytest.raises(ValueError, match="'theta_l'"):
+        tr.mae(pred, (np.zeros((15, 3)), np.zeros((16, 3))), "theta", hands="lr")
+    with pytest.raises(ValueError, match="'theta_l'"):  # a pair of another length
+        tr.mae(Tensor(np.zeros((3, 16, 3))), (np.zeros((16, 3)),) * 2, "theta", hands="lr")
 
 
 def test_loss_weights_reject_negative():
