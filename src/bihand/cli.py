@@ -17,8 +17,7 @@ from . import handmodel, ssm, train as tr
 from .gradcheck import fd_check
 from .nn import (Conv2dLayer, LayerNormLayer, MlpLayer, NonLocalBlock,
                  grid_sample, linear, softmax)
-from .pipeline import (BimanualHandNet, PipelineConfig, build_rig, check_records,
-                       load_checkpoint, load_config_json, save_checkpoint, soft_argmax)
+from .pipeline import BimanualHandNet, PipelineConfig, build_rig, load_config_json, soft_argmax
 from .tensor import (Tensor, exp, mul, no_grad, reduce_mean, reduce_sum, reshape,
                      set_gradient_corruption, silu, softplus, sub)
 
@@ -275,40 +274,6 @@ def run_gradcheck(corrupt=None):
     return all(r[3] for r in rows), rows
 
 
-# -- dataset container ----------------------------------------------------------
-
-def save_dataset(path, samples):
-    records = [("meta/count", Tensor(np.array(float(len(samples)))))]
-    for i, s in enumerate(samples):
-        for f in dataclasses.fields(s):
-            records.append((f"s{i:05d}/{f.name}", Tensor(getattr(s, f.name))))
-    save_checkpoint(path, records)
-
-
-def load_dataset(path, config):
-    """Samples of a dataset file, its records checked in order against the
-    shapes ``config`` gives; a malformed or non-finite record is a named error."""
-    records = load_checkpoint(path)
-    count = dict(records).get("meta/count")
-    if count is None:
-        raise ValueError("dataset file is missing its sample count record")
-    if count.shape != ():
-        raise ValueError(f"dataset record 'meta/count' must be a scalar, got shape {count.shape}")
-    n = float(count)
-    if not (n >= 0 and n.is_integer()):
-        raise ValueError(f"dataset record 'meta/count' must be a non-negative integer, got {n}")
-    if n > len(records):
-        raise ValueError(f"dataset record 'meta/count' says {int(n)} samples, "
-                         f"but the file holds {len(records)} records")
-    shapes = tr.TrainingSample.shapes(config)
-    expected = [("meta/count", ())] + [(f"s{i:05d}/{fname}", shape) for i in range(int(n))
-                                       for fname, shape in shapes.items()]
-    check_records(records, expected, "dataset")
-    values = [data for _, data in records[1:]]
-    return [tr.TrainingSample(**dict(zip(shapes, values[i:i + len(shapes)])))
-            for i in range(0, len(values), len(shapes))]
-
-
 # -- commands ---------------------------------------------------------------------
 
 def _load_config(args):
@@ -339,7 +304,7 @@ def cmd_train_toy(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     tr.write_trace_csv(out_dir / "loss_trace.csv", result.trace)
     net.save_checkpoint(out_dir / "model.ckpt")
-    save_dataset(out_dir / "dataset.bin", data)
+    tr.save_dataset(out_dir / "dataset.bin", data)
     metrics = tr.evaluate(net, data)
     tr.write_metrics_csv(out_dir / "metrics.csv", "train", metrics)
     ratio = result.final_loss / result.initial_loss
@@ -353,7 +318,7 @@ def cmd_eval(args):
     cfg = _load_config(args)
     net = BimanualHandNet(cfg)
     net.load_checkpoint(args.checkpoint)
-    data = load_dataset(args.data, cfg)
+    data = tr.load_dataset(args.data, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = tr.evaluate(net, data)
@@ -370,7 +335,7 @@ def cmd_gen_data(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "dataset.bin"
-    save_dataset(path, data)
+    tr.save_dataset(path, data)
     print(f"wrote {len(data)} samples to {path}")
     return 0
 

@@ -1,12 +1,15 @@
 """Training harness: weighted L1 objective over nine output terms, Adam,
-synthetic two-hand data, position-error metrics, and work accounting.
+synthetic two-hand data and its file container, position-error metrics,
+and work accounting.
 
 Synthetic samples pose the rig with Gaussian pose/shape draws, place the
 right hand relative to the left by a translation drawn from a 60 mm box,
 and render the input as Gaussian blobs splatted at the orthographically
-projected joints: one channel per hand plus their sum. Ground truth is
-stored both in millimeters (meshes, joints, translation) and in the
-heatmap frame (x, y, depth-bin) the network's coordinate head predicts in.
+projected joints: one channel per hand plus their sum. Ground truth holds
+the hand pair as one array per quantity, left hand first along the leading
+axis, as the network's outputs do. It is stored both in millimeters
+(meshes, joints, translation) and in the heatmap frame (x, y, depth-bin)
+the network's coordinate head predicts in.
 """
 
 import csv
@@ -16,7 +19,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import handmodel
-from .pipeline import BETA_DIM, THETA_SHAPE, BimanualHandNet, check_records
+from .pipeline import (BETA_DIM, THETA_SHAPE, BimanualHandNet, check_records,
+                       load_checkpoint, save_checkpoint)
 from .ssm import scan_flops
 from .tensor import Tensor, no_grad, observe_ops
 
@@ -42,8 +46,9 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"loss weight {f.name} must be nonnegative")
+            w = getattr(self, f.name)
+            if not (np.isfinite(w) and w >= 0):
+                raise ValueError(f"loss weight {f.name} must be a finite number >= 0, got {w}")
 
 
 @dataclass
@@ -59,6 +64,12 @@ class SceneCamera:
         return np.stack([cx + self.px_per_mm * points_mm[..., 0],
                          cy + self.px_per_mm * points_mm[..., 1]], axis=-1)
 
+    def place(self, points_mm, t_rel):
+        """Root-relative pair points [2, N, 3] in the scene: the left hand at
+        ``left_root_mm``, the right ``t_rel`` from it."""
+        roots = np.stack([np.asarray(self.left_root_mm), np.asarray(self.left_root_mm) + t_rel])
+        return points_mm + roots[:, None]
+
     def depth_to_bin(self, z_mm, depth_bins):
         frac = (z_mm + self.depth_range_mm) / (2.0 * self.depth_range_mm)
         return np.clip(frac * (depth_bins - 1), 0.0, depth_bins - 1)
@@ -66,45 +77,66 @@ class SceneCamera:
 
 @dataclass
 class TrainingSample:
+    """One input image and its ground truth, the hand pair left first."""
     image: np.ndarray           # [3, H, W]
-    gt_theta_l: np.ndarray      # [16, 3]
-    gt_theta_r: np.ndarray
-    gt_beta_l: np.ndarray       # [10]
-    gt_beta_r: np.ndarray
-    gt_joints_l: np.ndarray     # [21, 3] mm, root-relative
-    gt_joints_r: np.ndarray
-    gt_joints_uvd_l: np.ndarray  # [21, 3] heatmap-frame x, y, depth-bin
-    gt_joints_uvd_r: np.ndarray
-    gt_vertices_l: np.ndarray   # [V, 3] mm, root-relative
-    gt_vertices_r: np.ndarray
+    gt_theta: np.ndarray        # [2, 16, 3]
+    gt_beta: np.ndarray         # [2, 10]
+    gt_joints: np.ndarray       # [2, 21, 3] mm, root-relative
+    gt_joints_uvd: np.ndarray   # [2, J, 3] heatmap-frame x, y, depth-bin
+    gt_vertices: np.ndarray     # [2, V, 3] mm, root-relative
     gt_t_rel: np.ndarray        # [3] mm
 
     @staticmethod
     def shapes(config):
         """Each field's array shape under ``config``, in field order."""
-        theta, beta = THETA_SHAPE, (BETA_DIM,)
-        joints, uvd = (handmodel.NUM_EVAL_JOINTS, 3), (config.joints, 3)
-        vertices = (config.vertices, 3)
         return {"image": (3, config.image_h, config.image_w),
-                "gt_theta_l": theta, "gt_theta_r": theta, "gt_beta_l": beta, "gt_beta_r": beta,
-                "gt_joints_l": joints, "gt_joints_r": joints,
-                "gt_joints_uvd_l": uvd, "gt_joints_uvd_r": uvd,
-                "gt_vertices_l": vertices, "gt_vertices_r": vertices, "gt_t_rel": (3,)}
+                "gt_theta": (2,) + THETA_SHAPE, "gt_beta": (2, BETA_DIM),
+                "gt_joints": (2, handmodel.NUM_EVAL_JOINTS, 3),
+                "gt_joints_uvd": (2, config.joints, 3),
+                "gt_vertices": (2, config.vertices, 3), "gt_t_rel": (3,)}
 
 
-def mae(pred, target, term, hands=""):
-    """Mean absolute error of ``pred`` against ``target``. With ``hands``, the
-    hand suffixes in pair order, ``pred`` leads with the hand axis, ``target``
-    holds one array per hand, and the result is each hand's error. A target
-    of another shape is a ValueError naming its term."""
-    lead = (len(hands),) if hands else ()
-    for name, t in [(f"{term}_{h}", t) for h, t in zip(hands, target)] or [(term, target)]:
-        if pred.shape != lead + np.shape(t):
-            raise ValueError(f"loss term {name!r}: prediction shape {pred.shape} "
-                             f"does not match target {lead + np.shape(t)}")
-    if hands:
-        target = np.stack(target)
-    return abs(pred - Tensor(target)).mean(axis=tuple(range(1, pred.ndim)) if hands else None)
+def save_dataset(path, samples):
+    """Write ``samples`` as a ``meta/count`` record, then each sample's
+    fields in order, named ``s00000/image``, ``s00000/gt_theta``, ..."""
+    records = [("meta/count", Tensor(np.array(float(len(samples)))))]
+    for i, s in enumerate(samples):
+        for f in fields(s):
+            records.append((f"s{i:05d}/{f.name}", Tensor(getattr(s, f.name))))
+    save_checkpoint(path, records)
+
+
+def load_dataset(path, config):
+    """Samples of a dataset file, its records checked in order against the
+    shapes ``config`` gives; a malformed or non-finite record is a named error."""
+    records = load_checkpoint(path)
+    count = dict(records).get("meta/count")
+    if count is None:
+        raise ValueError("dataset file is missing its sample count record")
+    if count.shape != ():
+        raise ValueError(f"dataset record 'meta/count' must be a scalar, got shape {count.shape}")
+    n = float(count)
+    if not (n >= 0 and n.is_integer()):
+        raise ValueError(f"dataset record 'meta/count' must be a non-negative integer, got {n}")
+    if n > len(records):
+        raise ValueError(f"dataset record 'meta/count' says {int(n)} samples, "
+                         f"but the file holds {len(records)} records")
+    shapes = TrainingSample.shapes(config)
+    expected = [("meta/count", ())] + [(f"s{i:05d}/{fname}", shape) for i in range(int(n))
+                                       for fname, shape in shapes.items()]
+    check_records(records, expected, "dataset")
+    values = [data for _, data in records[1:]]
+    return [TrainingSample(**dict(zip(shapes, values[i:i + len(shapes)])))
+            for i in range(0, len(values), len(shapes))]
+
+
+def mae(pred, target, term, axis=None):
+    """Mean absolute error of ``pred`` against ``target`` over ``axis``; a
+    target of another shape is a ValueError naming its term."""
+    if pred.shape != np.shape(target):
+        raise ValueError(f"loss term {term!r}: prediction shape {pred.shape} "
+                         f"does not match target {np.shape(target)}")
+    return abs(pred - Tensor(target)).mean(axis)
 
 
 def loss_terms(pred, gt):
@@ -113,7 +145,8 @@ def loss_terms(pred, gt):
     terms = {}
     for term, name in (("theta", "theta"), ("beta", "beta"), ("joint", "joints_uvd"),
                        ("vert", "vertices")):
-        err = mae(getattr(pred, name), [getattr(gt, f"gt_{name}_{h}") for h in "lr"], term, "lr")
+        p = getattr(pred, name)
+        err = mae(p, getattr(gt, f"gt_{name}"), term, axis=tuple(range(1, p.ndim)))
         terms[f"{term}_l"], terms[f"{term}_r"] = err[0], err[1]
     terms["trel"] = mae(pred.t_rel, gt.gt_t_rel, "trel")
     return terms
@@ -205,13 +238,11 @@ def synth_dataset(config, rig, n, seed, noise=0.0):
         theta = rng.normal(0.0, 0.2, (2, 16, 3))
         beta = rng.normal(0.0, 1.0, (2, 10))
         t_rel = rng.uniform(-30.0, 30.0, 3)
-        roots = np.stack([np.asarray(camera.left_root_mm),
-                          np.asarray(camera.left_root_mm) + t_rel])
 
         with no_grad():
             hands = handmodel.lbs(rig, Tensor(theta), Tensor(beta))
         joints, vertices = hands.joints.data, hands.vertices.data
-        world = joints + roots[:, None]
+        world = camera.place(joints, t_rel)
         px = camera.project_px(world, config.image_h, config.image_w)
         uvd = np.concatenate(
             [px / divisor, camera.depth_to_bin(world[..., 2], config.depth_bins)[..., None]],
@@ -222,14 +253,8 @@ def synth_dataset(config, rig, n, seed, noise=0.0):
         if noise > 0.0:
             img = img + rng.normal(0.0, noise, img.shape)
 
-        sample = TrainingSample(
-            image=img,
-            gt_theta_l=theta[0], gt_theta_r=theta[1],
-            gt_beta_l=beta[0], gt_beta_r=beta[1],
-            gt_joints_l=joints[0], gt_joints_r=joints[1],
-            gt_joints_uvd_l=uvd[0], gt_joints_uvd_r=uvd[1],
-            gt_vertices_l=vertices[0], gt_vertices_r=vertices[1],
-            gt_t_rel=t_rel)
+        sample = TrainingSample(image=img, gt_theta=theta, gt_beta=beta, gt_joints=joints,
+                                gt_joints_uvd=uvd, gt_vertices=vertices, gt_t_rel=t_rel)
         check_records([(f.name, getattr(sample, f.name)) for f in fields(sample)],
                       list(TrainingSample.shapes(config).items()), "synthesized sample")
         samples.append(sample)
@@ -239,9 +264,7 @@ def synth_dataset(config, rig, n, seed, noise=0.0):
 def hands_overlap(sample, config):
     """Split heuristic: do the two hands' joint bounding boxes intersect?"""
     camera = SceneCamera()
-    roots = np.stack([np.asarray(camera.left_root_mm),
-                      np.asarray(camera.left_root_mm) + sample.gt_t_rel])
-    world = np.stack([sample.gt_joints_l, sample.gt_joints_r]) + roots[:, None]
+    world = camera.place(sample.gt_joints, sample.gt_t_rel)
     pts = camera.project_px(world, config.image_h, config.image_w)  # [2, 21, 2]
     # each hand's box starts no later than the other's ends, in x and in y
     return bool(np.all(pts.min(axis=1) <= pts.max(axis=1)[::-1]))
@@ -280,9 +303,9 @@ def evaluate(net, dataset):
         with no_grad():
             out = net.forward(Tensor(sample.image))
         joints, vertices = out.joints_mm.data, out.vertices.data
-        pj = 0.5 * (mpjpe(joints[0], sample.gt_joints_l) + mpjpe(joints[1], sample.gt_joints_r))
-        pv = 0.5 * (mpvpe(vertices[0], sample.gt_vertices_l, net.rig.regressor)
-                    + mpvpe(vertices[1], sample.gt_vertices_r, net.rig.regressor))
+        pj = 0.5 * (mpjpe(joints[0], sample.gt_joints[0]) + mpjpe(joints[1], sample.gt_joints[1]))
+        pv = 0.5 * (mpvpe(vertices[0], sample.gt_vertices[0], net.rig.regressor)
+                    + mpvpe(vertices[1], sample.gt_vertices[1], net.rig.regressor))
         split = "two" if hands_overlap(sample, net.config) else "single"
         rows[split].append((pj, pv))
 

@@ -181,14 +181,14 @@ def test_criterion_2_loss_vs_nine_term_sum():
         out = net.forward(Tensor(sample.image))
     worst = 0.0
     pairs = [
-        ("theta_l", out.theta_l.data, sample.gt_theta_l),
-        ("theta_r", out.theta_r.data, sample.gt_theta_r),
-        ("beta_l", out.beta_l.data, sample.gt_beta_l),
-        ("beta_r", out.beta_r.data, sample.gt_beta_r),
-        ("joint_l", out.joints_uvd_l.data, sample.gt_joints_uvd_l),
-        ("joint_r", out.joints_uvd_r.data, sample.gt_joints_uvd_r),
-        ("vert_l", out.vertices_l.data, sample.gt_vertices_l),
-        ("vert_r", out.vertices_r.data, sample.gt_vertices_r),
+        ("theta_l", out.theta.data[0], sample.gt_theta[0]),
+        ("theta_r", out.theta.data[1], sample.gt_theta[1]),
+        ("beta_l", out.beta.data[0], sample.gt_beta[0]),
+        ("beta_r", out.beta.data[1], sample.gt_beta[1]),
+        ("joint_l", out.joints_uvd.data[0], sample.gt_joints_uvd[0]),
+        ("joint_r", out.joints_uvd.data[1], sample.gt_joints_uvd[1]),
+        ("vert_l", out.vertices.data[0], sample.gt_vertices[0]),
+        ("vert_r", out.vertices.data[1], sample.gt_vertices[1]),
         ("trel", out.t_rel.data, sample.gt_t_rel),
     ]
     for _ in range(100):
@@ -277,7 +277,7 @@ def overfit_run(tmp_path_factory):
     metrics = tr.evaluate(net, data)
     out = tmp_path_factory.mktemp("overfit")
     net.save_checkpoint(out / "model.ckpt")
-    cli.save_dataset(out / "dataset.bin", data)
+    tr.save_dataset(out / "dataset.bin", data)
     return dict(cfg=cfg, result=result, metrics0=metrics0, metrics=metrics,
                 elapsed=elapsed, dir=out)
 
@@ -316,7 +316,7 @@ def test_criterion_4_eval_of_overfit_checkpoint(overfit_run):
     cfg = r["cfg"]
     net = BimanualHandNet(cfg)
     net.load_checkpoint(r["dir"] / "model.ckpt")
-    data = cli.load_dataset(r["dir"] / "dataset.bin", cfg)
+    data = tr.load_dataset(r["dir"] / "dataset.bin", cfg)
     metrics = tr.evaluate(net, data)
     ok = metrics["mpjpe_all"] <= 0.30 * r["metrics0"]["mpjpe_all"]
     report("4c", ok, f"checkpoint evaluation on its own training set reproduces "

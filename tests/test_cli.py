@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bihand import cli, handmodel
+from bihand import cli, handmodel, train as tr
 from bihand.pipeline import (BimanualHandNet, PipelineConfig, load_checkpoint, save_checkpoint,
                              save_config_json)
 from bihand.tensor import Tensor
@@ -160,7 +160,7 @@ def test_eval_non_finite_checkpoint_is_named_error(trained, tmp_path, capsys, va
 
 def test_eval_empty_dataset_is_explicit_error(trained, tmp_path, capsys):
     empty = tmp_path / "empty.bin"
-    cli.save_dataset(empty, [])
+    tr.save_dataset(empty, [])
     code = run(["--out", str(tmp_path / "o"), "--seed", "3", "eval",
                 "--checkpoint", str(trained / "model.ckpt"), "--data", str(empty)])
     assert code == 1
@@ -177,43 +177,65 @@ def write_dataset_with(src, path, name, value):
 
 def test_load_dataset_rejects_bad_records(trained, tmp_path):
     src = trained / "dataset.bin"
-    vertices = dict(load_checkpoint(src))["s00001/gt_vertices_r"].copy()
-    vertices[3, 1] = np.nan
+    vertices = dict(load_checkpoint(src))["s00001/gt_vertices"].copy()
+    vertices[1, 3, 1] = np.nan
     cases = [("meta/count", np.array([2.0, 2.0])), ("meta/count", np.array(np.inf)),
              ("meta/count", np.array(np.nan)), ("meta/count", np.array(2.5)),
              ("meta/count", np.array(-1.0)), ("meta/count", np.array(1e12)),
-             ("s00001/gt_vertices_r", vertices),
+             ("s00001/gt_vertices", vertices),
              ("s00000/image", np.full((3, 64, 64), np.inf)),
-             ("s00000/gt_theta_l", np.zeros(3)), ("s00001/gt_beta_l", None)]
+             ("s00000/gt_theta", np.zeros(3)), ("s00001/gt_beta", None)]
     path = tmp_path / "bad.bin"
     for name, value in cases:
         write_dataset_with(src, path, name, value)
         with pytest.raises(ValueError, match=name):
-            cli.load_dataset(path, PipelineConfig.toy())
+            tr.load_dataset(path, PipelineConfig.toy())
 
 
 def test_eval_non_finite_dataset_is_named_error(trained, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
-    theta = np.array(dict(load_checkpoint(trained / "dataset.bin"))["s00002/gt_theta_l"])
-    theta[0, 0] = np.inf
-    write_dataset_with(trained / "dataset.bin", bad, "s00002/gt_theta_l", theta)
+    theta = np.array(dict(load_checkpoint(trained / "dataset.bin"))["s00002/gt_theta"])
+    theta[1, 0, 0] = np.inf
+    write_dataset_with(trained / "dataset.bin", bad, "s00002/gt_theta", theta)
     code = run(["--out", str(tmp_path / "o"), "--seed", "3", "eval",
                 "--checkpoint", str(trained / "model.ckpt"), "--data", str(bad)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "'s00002/gt_theta_l' holds a non-finite value" in err
+    assert "'s00002/gt_theta' holds a non-finite value" in err
     assert "Traceback" not in err
 
 
 def test_eval_wrong_shape_dataset_is_named_error(trained, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
-    write_dataset_with(trained / "dataset.bin", bad, "s00000/gt_theta_l", np.zeros(3))
+    write_dataset_with(trained / "dataset.bin", bad, "s00000/gt_theta", np.zeros(3))
     code = run(["--out", str(tmp_path / "o"), "--seed", "3", "eval",
                 "--checkpoint", str(trained / "model.ckpt"), "--data", str(bad)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "dataset mismatch at record 's00000/gt_theta_l'" in err
+    assert "dataset mismatch at record 's00000/gt_theta'" in err
     assert "Traceback" not in err
+
+
+def test_eval_refuses_per_hand_dataset_layout_by_name(trained, tmp_path, capsys):
+    # files written before the hand pair became one record held each hand's
+    # ground truth in its own record; such a file is refused, not misread
+    old = []
+    for name, arr in load_checkpoint(trained / "dataset.bin"):
+        if "/gt_" in name and not name.endswith("/gt_t_rel"):
+            old += [(f"{name}_l", arr[0]), (f"{name}_r", arr[1])]
+        else:
+            old.append((name, arr))
+    bad = tmp_path / "old.bin"
+    save_checkpoint(bad, old)
+    code = run(["--out", str(tmp_path / "o"), "--seed", "3", "eval",
+                "--checkpoint", str(trained / "model.ckpt"), "--data", str(bad)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert ("dataset mismatch at record 's00000/gt_theta_l': expected 's00000/gt_theta'"
+            in captured.err)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_with_malformed_rig_is_named_error(tmp_path, capsys):
@@ -268,10 +290,10 @@ def test_config_with_removed_key_is_named_error(tmp_path, capsys):
 def test_gen_data_roundtrip(tmp_path):
     out = tmp_path / "data"
     assert run(["--out", str(out), "--seed", "11", "gen-data", "--samples", "3"]) == 0
-    samples = cli.load_dataset(out / "dataset.bin", PipelineConfig.toy(seed=11))
+    samples = tr.load_dataset(out / "dataset.bin", PipelineConfig.toy(seed=11))
     assert len(samples) == 3
     assert samples[0].image.shape == (3, 64, 64)
-    assert samples[0].gt_vertices_l.shape == (252, 3)
+    assert samples[0].gt_vertices.shape == (2, 252, 3)
 
 
 def test_gen_data_deterministic(tmp_path):
@@ -296,7 +318,7 @@ def test_gen_data_follows_configured_rig(tmp_path):
                 "gen-data", "--samples", "1"]) == 0
     default = dict(load_checkpoint(tmp_path / "default" / "dataset.bin"))
     scaled = dict(load_checkpoint(tmp_path / "scaled" / "dataset.bin"))
-    assert not np.allclose(default["s00000/gt_vertices_l"], scaled["s00000/gt_vertices_l"])
+    assert not np.allclose(default["s00000/gt_vertices"], scaled["s00000/gt_vertices"])
 
 
 def test_rig_export_validates(tmp_path):

@@ -340,7 +340,7 @@ def test_forward_deterministic_bitwise(toy_net):
     with no_grad():
         a = toy_net.forward(img)
         b = toy_net.forward(img)
-    for name in ("theta_l", "beta_r", "joints_uvd_l", "vertices_r", "t_rel"):
+    for name in ("theta", "beta", "joints_uvd", "vertices", "t_rel"):
         assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
 
 
@@ -370,18 +370,19 @@ def test_full_network_gradients_small_config():
     img = Tensor(rng.uniform(0, 1, (3, 16, 16)))
     # probe scales keep the scalar output O(1); a larger output magnifies the
     # finite-difference quantization floor ulp(f)/(2*eps) past the tolerance
-    scales = {"theta_l": 1.0, "beta_r": 0.1, "joints_uvd_l": 0.05,
-              "vertices_l": 0.005, "t_rel": 0.1}
+    # (output, hand index); t_rel has no hand axis, so `...` takes all of it
+    scales = {("theta", 0): 1.0, ("beta", 1): 0.1, ("joints_uvd", 0): 0.05,
+              ("vertices", 0): 0.005, ("t_rel", ...): 0.1}
     probes = {}
 
     def run():
         out = net.forward(img)
         if not probes:
-            for name, s in scales.items():
-                probes[name] = Tensor(rng.uniform(-1, 1, getattr(out, name).shape) * s)
+            for (name, hand), s in scales.items():
+                probes[name, hand] = Tensor(rng.uniform(-1, 1, getattr(out, name)[hand].shape) * s)
         total = None
-        for name, p in probes.items():
-            term = (getattr(out, name) * p).mean()
+        for (name, hand), p in probes.items():
+            term = (getattr(out, name)[hand] * p).mean()
             total = term if total is None else total + term
         return total
 

@@ -35,13 +35,9 @@ def make_output(rng, cfg, v):
 def sample_from_output(out, cfg):
     return tr.TrainingSample(
         image=np.zeros((3, cfg.image_h, cfg.image_w)),
-        gt_theta_l=out.theta_l.data.copy(), gt_theta_r=out.theta_r.data.copy(),
-        gt_beta_l=out.beta_l.data.copy(), gt_beta_r=out.beta_r.data.copy(),
-        gt_joints_l=out.joints_mm_l.data.copy(), gt_joints_r=out.joints_mm_r.data.copy(),
-        gt_joints_uvd_l=out.joints_uvd_l.data.copy(),
-        gt_joints_uvd_r=out.joints_uvd_r.data.copy(),
-        gt_vertices_l=out.vertices_l.data.copy(), gt_vertices_r=out.vertices_r.data.copy(),
-        gt_t_rel=out.t_rel.data.copy())
+        gt_theta=out.theta.data.copy(), gt_beta=out.beta.data.copy(),
+        gt_joints=out.joints_mm.data.copy(), gt_joints_uvd=out.joints_uvd.data.copy(),
+        gt_vertices=out.vertices.data.copy(), gt_t_rel=out.t_rel.data.copy())
 
 
 def test_loss_zero_when_prediction_matches():
@@ -57,9 +53,9 @@ def test_loss_positive_when_any_term_differs():
     cfg = small_config()
     out = make_output(rng, cfg, 31)
     gt = sample_from_output(out, cfg)
-    for name, bump in (("gt_theta_r", 1e-6), ("gt_t_rel", 1e-6)):
+    for name, index in (("gt_theta", 1), ("gt_t_rel", ...)):
         perturbed = sample_from_output(out, cfg)
-        setattr(perturbed, name, getattr(perturbed, name) + bump)
+        getattr(perturbed, name)[index] += 1e-6
         assert tr.loss(out, perturbed).item() > 0.0
     assert tr.loss(out, gt).item() == 0.0
 
@@ -69,7 +65,7 @@ def test_loss_weight_linearity():
     cfg = small_config()
     out = make_output(rng, cfg, 244)
     gt = sample_from_output(out, cfg)
-    gt.gt_joints_uvd_l = gt.gt_joints_uvd_l + 1.0  # only the joint_l term is nonzero
+    gt.gt_joints_uvd[0] += 1.0  # only the joint_l term is nonzero
     base = tr.loss(out, gt, tr.LossWeights()).item()
     doubled = tr.loss(out, gt, tr.LossWeights(joint_l=2.0)).item()
     npt.assert_allclose(doubled, 2.0 * base, rtol=1e-15)
@@ -84,12 +80,12 @@ def test_loss_matches_explicit_nine_term_sum():
         lam = tr.LossWeights(**{n: float(rng.uniform(0, 2)) for n in tr.LOSS_TERMS})
         got = tr.loss(out, gt, lam).item()
         pairs = [
-            (out.theta_l.data, gt.gt_theta_l), (out.theta_r.data, gt.gt_theta_r),
-            (out.beta_l.data, gt.gt_beta_l), (out.beta_r.data, gt.gt_beta_r),
-            (out.joints_uvd_l.data, gt.gt_joints_uvd_l),
-            (out.joints_uvd_r.data, gt.gt_joints_uvd_r),
-            (out.vertices_l.data, gt.gt_vertices_l),
-            (out.vertices_r.data, gt.gt_vertices_r),
+            (out.theta.data[0], gt.gt_theta[0]), (out.theta.data[1], gt.gt_theta[1]),
+            (out.beta.data[0], gt.gt_beta[0]), (out.beta.data[1], gt.gt_beta[1]),
+            (out.joints_uvd.data[0], gt.gt_joints_uvd[0]),
+            (out.joints_uvd.data[1], gt.gt_joints_uvd[1]),
+            (out.vertices.data[0], gt.gt_vertices[0]),
+            (out.vertices.data[1], gt.gt_vertices[1]),
             (out.t_rel.data, gt.gt_t_rel),
         ]
         want = 0.0
@@ -118,8 +114,8 @@ def test_loss_shape_mismatch_names_term():
     cfg = small_config()
     out = make_output(rng, cfg, 31)
     gt = sample_from_output(out, cfg)
-    gt.gt_beta_r = np.zeros(11)
-    with pytest.raises(ValueError, match="beta_r"):
+    gt.gt_beta = np.zeros((2, 11))
+    with pytest.raises(ValueError, match="'beta'"):
         tr.loss(out, gt)
 
 
@@ -128,24 +124,25 @@ def test_pair_mae_gives_each_hand_the_bits_of_its_own_mean():
     for shape in ((16, 3), (10,), (21, 3), (244, 3), (37, 3)):
         for _ in range(50):
             pred = Tensor(rng.normal(0, 30, (2,) + shape))
-            left, right = rng.normal(0, 30, (2,) + shape)
-            err = tr.mae(pred, (left, right), "x", hands="lr")
+            target = rng.normal(0, 30, (2,) + shape)
+            err = tr.mae(pred, target, "x", axis=tuple(range(1, pred.ndim)))
             assert err.shape == (2,)
-            assert err.data[0] == tr.mae(Tensor(pred.data[0]), left, "x_l").data
-            assert err.data[1] == tr.mae(Tensor(pred.data[1]), right, "x_r").data
+            for hand in (0, 1):
+                assert err.data[hand] == tr.mae(Tensor(pred.data[hand]), target[hand], "x").data
 
 
-def test_pair_mae_names_the_hand_of_a_mismatched_target():
+def test_pair_mae_names_the_term_of_a_mismatched_target():
     pred = Tensor(np.zeros((2, 16, 3)))
-    with pytest.raises(ValueError, match="'theta_l'"):
-        tr.mae(pred, (np.zeros((15, 3)), np.zeros((16, 3))), "theta", hands="lr")
-    with pytest.raises(ValueError, match="'theta_l'"):  # a pair of another length
-        tr.mae(Tensor(np.zeros((3, 16, 3))), (np.zeros((16, 3)),) * 2, "theta", hands="lr")
+    with pytest.raises(ValueError, match="'theta'.*\\(2, 16, 3\\).*\\(2, 15, 3\\)"):
+        tr.mae(pred, np.zeros((2, 15, 3)), "theta", axis=(1, 2))
+    with pytest.raises(ValueError, match="'theta'"):  # a pair of another length
+        tr.mae(pred, np.zeros((3, 16, 3)), "theta", axis=(1, 2))
 
 
-def test_loss_weights_reject_negative():
-    with pytest.raises(ValueError):
-        tr.LossWeights(vert_l=-0.1)
+@pytest.mark.parametrize("weight", [-0.1, float("nan"), float("inf")])
+def test_loss_weights_reject_negative(weight):
+    with pytest.raises(ValueError, match="loss weight vert_l must be a finite number >= 0"):
+        tr.LossWeights(vert_l=weight)
 
 
 def test_adam_zero_gradient_is_fixed_point():
@@ -216,22 +213,20 @@ def test_synth_gt_regenerates_through_rig(toy_setup):
     from bihand.tensor import no_grad
     for sample in data:
         with no_grad():
-            out = lbs(net.rig, Tensor(sample.gt_theta_l), Tensor(sample.gt_beta_l))
-        assert np.max(np.abs(out.joints.data - sample.gt_joints_l)) <= 1e-9
-        assert np.max(np.abs(out.vertices.data - sample.gt_vertices_l)) <= 1e-9
+            out = lbs(net.rig, Tensor(sample.gt_theta[0]), Tensor(sample.gt_beta[0]))
+        assert np.max(np.abs(out.joints.data - sample.gt_joints[0])) <= 1e-9
+        assert np.max(np.abs(out.vertices.data - sample.gt_vertices[0])) <= 1e-9
 
 
 def test_synth_gt_of_each_hand_has_the_bits_of_a_single_hand_rig_call(toy_setup):
     # both hands are skinned in one lbs call; each keeps the bits it gets alone
     cfg, net, data = toy_setup
     for sample in data:
-        for hand in "lr":
+        for hand in (0, 1):
             with T.no_grad():
-                out = lbs(net.rig, Tensor(getattr(sample, f"gt_theta_{hand}")),
-                          Tensor(getattr(sample, f"gt_beta_{hand}")))
-            assert out.joints.data.tobytes() == getattr(sample, f"gt_joints_{hand}").tobytes()
-            assert (out.vertices.data.tobytes()
-                    == getattr(sample, f"gt_vertices_{hand}").tobytes())
+                out = lbs(net.rig, Tensor(sample.gt_theta[hand]), Tensor(sample.gt_beta[hand]))
+            assert out.joints.data.tobytes() == sample.gt_joints[hand].tobytes()
+            assert out.vertices.data.tobytes() == sample.gt_vertices[hand].tobytes()
 
 
 @pytest.mark.parametrize("t_rel", [(200.0, 0.0, 0.0), (-200.0, 0.0, 0.0), (0.0, 200.0, 0.0),
@@ -253,8 +248,8 @@ def test_synth_deterministic_per_seed(toy_setup):
     b = tr.synth_dataset(cfg, net.rig, 3, seed=11)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.image, sb.image)
-        assert np.array_equal(sa.gt_theta_l, sb.gt_theta_l)
-        assert np.array_equal(sa.gt_joints_uvd_r, sb.gt_joints_uvd_r)
+        assert np.array_equal(sa.gt_theta, sb.gt_theta)
+        assert np.array_equal(sa.gt_joints_uvd, sb.gt_joints_uvd)
         assert np.array_equal(sa.gt_t_rel, sb.gt_t_rel)
 
 
@@ -267,7 +262,8 @@ def test_synth_rejects_bad_noise(toy_setup, noise):
 
 def test_synth_rejects_rig_that_disagrees_with_config():
     rig = make_default_rig(0, 252)
-    with pytest.raises(ValueError, match="'gt_vertices_l': shape \\(252, 3\\), expected \\(300, 3\\)"):
+    with pytest.raises(ValueError,
+                       match="'gt_vertices': shape \\(2, 252, 3\\), expected \\(2, 300, 3\\)"):
         tr.synth_dataset(PipelineConfig.toy(vertices=300), rig, 1, seed=0)
 
 
