@@ -120,7 +120,7 @@ def conv2d_raw(x, weight, bias, stride=1, padding=0):
             _accum(x, (w2.T @ g2).reshape(x.shape))
         elif x.requires_grad:
             dcols = (w2.T @ g2).reshape(cin, kh, kw, oh, ow)
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros((cin, h + 2 * p, w + 2 * p))
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]

@@ -36,6 +36,13 @@ class ScanCoeffs:
         self.d_skip = d_skip  # [channels]
 
 
+def _decay(delta, a):
+    """exp(delta_t * a), the decay factors [T, C, S]; einsum forms the same products as
+    broadcasting, whose inner loop over the short state axis took ~1.5x as long."""
+    abar = np.einsum("td,ds->tds", delta, a)
+    return np.exp(abar, out=abar)
+
+
 def selective_scan(coeffs, x):
     """Run the recurrence over x[seq, channels]; differentiable in all inputs.
 
@@ -59,10 +66,7 @@ def selective_scan(coeffs, x):
         raise RuntimeError(f"selective_scan requires strictly positive delta, got "
                            f"delta[{t}, {k}] = {float(delta.data[t, k])!r}{why}")
 
-    # einsum forms the outer products: the same products as broadcasting,
-    # whose inner loop runs over the short state axis and took ~1.5x as long
-    abar = np.einsum("td,ds->tds", delta.data, a.data)  # decay factors [T, C, S]
-    np.exp(abar, out=abar)
+    abar = _decay(delta.data, a.data)
     hs = np.einsum("td,ts->tds", delta.data, b.data)    # input term, then the states
     hs *= x.data[:, :, None]
     step = np.empty((ch, state))
@@ -72,6 +76,7 @@ def selective_scan(coeffs, x):
     y = np.einsum("ts,tds->td", c.data, hs) + d_skip.data[None, :] * x.data
 
     def bw(gy):
+        abar = _decay(delta.data, a.data)  # rebuilt: kept, it would hold [T, C, S] until here
         gh = np.einsum("td,ts->tds", gy, c.data)  # becomes dL/dh_t in the reverse loop
         for t in range(seq - 2, -1, -1):
             np.multiply(abar[t + 1], gh[t + 1], out=step)

@@ -13,16 +13,18 @@ broadcast operands are summed over the broadcast axes so ``grad`` always
 matches ``data`` in shape.
 
 A graph supports exactly one ``backward()``; a second call raises unless
-``reset_grads`` was invoked on the root first. Silent double accumulation is
-the classic correctness trap this guards against.
+``reset_grads`` was invoked on the root first, which guards against silent
+double accumulation. ``backward()`` drops each interior gradient once its rule
+has run: afterwards only leaves hold ``grad``, and an interior node's is None.
 
 Each op defines its gradient rule, a closure ``bw(grad)``, before its
 output exists and passes it to ``graph_op``, which stores it as the output's
 ``_backward`` together with the parents, or not at all. ``backward()`` calls
 it with the output's accumulated gradient. A rule captures its inputs and
-arrays it computed, and cannot capture its own output. Edges then point only
-from outputs to inputs, so a graph has no reference cycle and is freed by
-reference counting as soon as its root goes out of scope.
+only the computed arrays it reads; one cheap to rebuild from its inputs, such
+as the scan's decay factors, it rebuilds. It cannot capture its own output.
+Edges then point only from outputs to inputs, so a graph has no reference
+cycle and is freed by reference counting as soon as its root goes out of scope.
 """
 
 import contextlib
@@ -174,6 +176,7 @@ class Tensor:
             if node.grad is None:
                 continue
             fn(node.grad)
+            node.grad = None  # spent: only leaves keep their gradients
 
     # -- operator overloads ---------------------------------------------
 

@@ -8,6 +8,11 @@ backward update through a Python loop over the sequence, and
 every kernel size. The kernel must give the same forward bits and the same
 gradients to 1e-12 relative (the backward formulas differ, so rounding may
 differ in the last places).
+
+``conv2d_captured_oracle`` and ``scan_captured_oracle`` are the convolution
+and scan kernels as they were when their rules kept the padded input and the
+decay factors alive from the forward. The kernels now rebuild those arrays in
+the backward, and must give the same gradient bits.
 """
 
 import numpy as np
@@ -132,6 +137,85 @@ def conv2d_im2col_oracle(x, weight, bias, stride=1, padding=0):
     return graph_op(out_data, (x, weight, bias), "conv2d", bw)
 
 
+def conv2d_captured_oracle(x, weight, bias, stride=1, padding=0):
+    cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    s, p = stride, padding
+    oh = (h + 2 * p - kh) // s + 1
+    ow = (w + 2 * p - kw) // s + 1
+
+    xp = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
+    pointwise = kh == kw == s == 1 and p == 0
+    if pointwise:
+        cols = xp.reshape(cin, h * w)
+    else:
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+        cols = np.ascontiguousarray(
+            win[:, ::s, ::s].transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, oh * ow)
+    w2 = weight.data.reshape(cout, cin * kh * kw)
+    out_data = w2 @ cols
+    out_data += bias.data[:, None]
+
+    def bw(grad):
+        g2 = grad.reshape(cout, oh * ow)
+        if bias.requires_grad:
+            _accum(bias, g2.sum(axis=1))
+        if weight.requires_grad:
+            _accum(weight, (g2 @ cols.T).reshape(weight.shape))
+        if x.requires_grad and pointwise:
+            _accum(x, (w2.T @ g2).reshape(x.shape))
+        elif x.requires_grad:
+            dcols = (w2.T @ g2).reshape(cin, kh, kw, oh, ow)
+            dxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]
+            _accum(x, dxp[:, p:p + h, p:p + w] if p else dxp)
+    return graph_op(out_data.reshape(cout, oh, ow), (x, weight, bias), "conv2d", bw)
+
+
+def scan_captured_oracle(coeffs, x):
+    delta, a, b, c, d_skip = coeffs.delta, coeffs.a, coeffs.b, coeffs.c, coeffs.d_skip
+    seq, ch = x.shape
+    state = a.shape[1]
+    abar = np.einsum("td,ds->tds", delta.data, a.data)
+    np.exp(abar, out=abar)
+    hs = np.einsum("td,ts->tds", delta.data, b.data)
+    hs *= x.data[:, :, None]
+    step = np.empty((ch, state))
+    for t in range(1, seq):
+        np.multiply(abar[t], hs[t - 1], out=step)
+        hs[t] += step
+    y = np.einsum("ts,tds->td", c.data, hs) + d_skip.data[None, :] * x.data
+
+    def bw(gy):
+        gh = np.einsum("td,ts->tds", gy, c.data)
+        for t in range(seq - 2, -1, -1):
+            np.multiply(abar[t + 1], gh[t + 1], out=step)
+            gh[t] += step
+        if x.requires_grad or delta.requires_grad:
+            gb = np.einsum("tds,ts->td", gh, b.data)
+        if x.requires_grad:
+            _accum(x, gb * delta.data + gy * d_skip.data[None, :])
+        if b.requires_grad:
+            _accum(b, np.einsum("tds,td->ts", gh, delta.data * x.data))
+        if c.requires_grad:
+            _accum(c, np.einsum("td,tds->ts", gy, hs))
+        if d_skip.requires_grad:
+            _accum(d_skip, np.einsum("td,td->d", gy, x.data))
+        if delta.requires_grad or a.requires_grad:
+            q = gh[1:]
+            q *= hs[:-1]
+            q *= abar[1:]
+            if delta.requires_grad:
+                dd = gb * x.data
+                dd[1:] += np.einsum("tds,ds->td", q, a.data)
+                _accum(delta, dd)
+            if a.requires_grad:
+                _accum(a, np.einsum("tds,td->ds", q, delta.data[1:]))
+    return graph_op(y, (x, delta, a, b, c, d_skip), "scan", bw)
+
+
 def masked_sigmoid_oracle(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -183,7 +267,7 @@ def _linear_case(x_shape):
     return build
 
 
-def _scan_case(seq, ch, state, x_grad=True, coeff_grad=True):
+def _scan_case(seq, ch, state, x_grad=True, coeff_grad=True, oracle=scan_loop_oracle):
     def build(rng):
         x = Tensor(rng.uniform(-1, 1, (seq, ch)), requires_grad=x_grad)
         coeffs = ssm.ScanCoeffs(*(Tensor(v, requires_grad=coeff_grad) for v in (
@@ -193,16 +277,16 @@ def _scan_case(seq, ch, state, x_grad=True, coeff_grad=True):
         leaves = [t for t in (x, coeffs.delta, coeffs.a, coeffs.b, coeffs.c, coeffs.d_skip)
                   if t.requires_grad]
         return (lambda: ssm.selective_scan(coeffs, x),
-                lambda: scan_loop_oracle(coeffs, x), leaves)
+                lambda: oracle(coeffs, x), leaves)
     return build
 
 
-def _conv2d_case(cin, cout, k, stride, padding, size):
+def _conv2d_case(cin, cout, k, stride, padding, size, oracle=conv2d_im2col_oracle):
     def build(rng):
         x, b = _leaf(rng, (cin, size, size)), _leaf(rng, cout, -1, 1)
         w = _leaf(rng, (cout, cin, k, k), -1, 1)
         return (lambda: nn.conv2d_raw(x, w, b, stride, padding),
-                lambda: conv2d_im2col_oracle(x, w, b, stride, padding), [x, w, b])
+                lambda: oracle(x, w, b, stride, padding), [x, w, b])
     return build
 
 
@@ -224,6 +308,13 @@ CASES = {
     "scan_only_coeff_grad": _scan_case(5, 2, 3, x_grad=False),
     "conv2d_pointwise": _conv2d_case(4, 5, 1, 1, 0, 6),
     "conv2d_strided": _conv2d_case(3, 4, 3, 2, 1, 7),
+}
+
+CAPTURED_CASES = {
+    "conv2d_padded": _conv2d_case(3, 4, 3, 1, 1, 7, conv2d_captured_oracle),
+    "conv2d_padded_strided": _conv2d_case(3, 4, 3, 2, 1, 7, conv2d_captured_oracle),
+    "conv2d_pointwise": _conv2d_case(4, 5, 1, 1, 0, 6, conv2d_captured_oracle),
+    "scan_64x64x8": _scan_case(64, 64, 8, oracle=scan_captured_oracle),
 }
 
 
@@ -252,3 +343,14 @@ def test_sigmoid_matches_masked_formula_bitwise():
     assert got.dtype == x.dtype and got.tobytes() == masked_sigmoid_oracle(x).tobytes()
     assert _sigmoid(np.array(-3.0)).tobytes() == masked_sigmoid_oracle(np.array(-3.0)).tobytes()
     assert np.all(np.isnan(_sigmoid(np.array([np.nan, -np.nan]))))
+
+
+@pytest.mark.parametrize("name", list(CAPTURED_CASES))
+def test_rebuilt_arrays_give_the_captured_rules_gradient_bits(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    kernel, oracle, leaves = CAPTURED_CASES[name](rng)
+    got, want = kernel(), oracle()
+    assert np.array_equal(got.data, want.data)
+    probe = Tensor(rng.uniform(-1, 1, want.shape))
+    for g, w in zip(_grads(kernel, leaves, probe), _grads(oracle, leaves, probe)):
+        assert np.array_equal(g, w)

@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -264,6 +265,75 @@ def test_toy_graph_is_freed_by_reference_counting():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _toy_batch_loss(net, samples):
+    """The batch loss ``train_loop`` builds: the mean of the samples' weighted losses."""
+    total = None
+    for sample in samples:
+        term = tr.loss(net.forward(T.Tensor(sample.image)), sample)
+        total = term if total is None else total + term
+    return total * (1.0 / len(samples))
+
+
+def test_backward_keeps_leaf_gradients_and_frees_interior_ones():
+    net = BimanualHandNet(PipelineConfig.toy(seed=0))
+    root = _toy_batch_loss(net, tr.synth_dataset(net.config, net.rig, 1, seed=3))
+    root.backward()
+    nodes = T._toposort(root)
+    leaves = [n for n in nodes if n._backward is None and n.requires_grad]
+    interior = [n for n in nodes if n._backward is not None]
+    assert len(leaves) == len(net.params()) and len(interior) > 200
+    assert all(n.grad is not None for n in leaves)
+    assert [n._op for n in interior if n.grad is not None] == []
+    with pytest.raises(RuntimeError, match="already ran"):
+        root.backward()
+    first = [n.grad for n in leaves]
+    T.reset_grads(root)
+    assert all(n.grad is None for n in nodes)
+    root.backward()
+    assert all(np.array_equal(n.grad, g) for n, g in zip(leaves, first))
+    assert all(n.grad is None for n in interior)
+
+
+def _traced(fn):
+    """(``fn()``, traced bytes held as it returns, peak traced bytes), counting
+    only what ``fn`` allocates."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return out, held, peak
+
+
+def test_backward_of_a_toy_batch_barely_raises_the_traced_peak():
+    # the graph's activations peak as backward starts; spent interior
+    # gradients are freed as it goes, so they add little on top
+    net = BimanualHandNet(PipelineConfig.toy(seed=0))
+    samples = tr.synth_dataset(net.config, net.rig, 8, seed=3)
+
+    def step():
+        root = _toy_batch_loss(net, samples)
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        root.backward()
+        return after_forward
+
+    after_forward, _, peak = _traced(step)
+    assert peak <= 1.10 * after_forward, (after_forward, peak)
+
+
+def test_forward_and_loss_of_a_128px_sample_retain_at_most_21_5_mb():
+    # what the rules capture: padded conv inputs and scan decays are not kept
+    net = BimanualHandNet(PipelineConfig.toy(seed=0, image_h=128, image_w=128))
+    samples = tr.synth_dataset(net.config, net.rig, 1, seed=3)
+    _, held, _ = _traced(lambda: _toy_batch_loss(net, samples))
+    assert held <= 21.5e6, held
 
 
 def test_gradient_corruption_hook_is_detected():
