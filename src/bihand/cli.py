@@ -1,4 +1,4 @@
-"""Command-line interface: verification, training, benchmarking, evaluation.
+"""Command-line interface: verification, training, evaluation, accounting.
 
 Exit codes: 0 success, 1 contract or tolerance failure, 2 bad invocation.
 All file outputs are deterministic for a fixed seed.
@@ -8,7 +8,6 @@ import argparse
 import csv
 import dataclasses
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -351,51 +350,6 @@ def cmd_rig_export(args):
     return 0
 
 
-def cmd_bench_scan(args):
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ch, state = 4, 8
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    rows = []
-    for seq in args.seq_lengths:
-        delta = rng.uniform(0.02, 0.2, (seq, ch))
-        a = -rng.uniform(0.5, 3.0, (ch, state))
-        b = rng.uniform(-1, 1, (seq, state))
-        c = rng.uniform(-1, 1, (seq, state))
-        d = rng.uniform(-1, 1, ch)
-        x = rng.uniform(-1, 1, (seq, ch))
-        for _ in range(2):  # the first, untimed pass warms the caches and allocator
-            coeffs = ssm.ScanCoeffs(*(Tensor(v, requires_grad=True) for v in (delta, a, b, c, d)))
-            t0 = time.perf_counter()
-            y_scan = ssm.selective_scan(coeffs, Tensor(x, requires_grad=True))
-            scan_s = time.perf_counter() - t0
-            loss = y_scan.sum()
-            t0 = time.perf_counter()
-            loss.backward()  # the scan's rule receives a gradient of ones
-            backward_s = time.perf_counter() - t0
-            if seq <= args.dense_cap:
-                t0 = time.perf_counter()
-                y_dense = ssm.dense_scan_reference(delta, a, b, c, d, x)
-                dense_s = time.perf_counter() - t0
-                gap = float(np.max(np.abs(y_scan.data - y_dense)))
-            else:
-                dense_s, gap = float("nan"), float("nan")
-        rows.append((seq, ssm.scan_flops(seq, ch, state), ssm.dense_scan_flops(seq, ch, state),
-                     scan_s, backward_s, dense_s, gap))
-    path = out_dir / "bench_scan.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("seq,scan_flops,dense_flops,scan_seconds,scan_backward_seconds,"
-                 "dense_seconds,max_abs_gap\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-    for row in rows:
-        dense = "skipped" if np.isnan(row[5]) else f"{row[5]:.4f}s"
-        print(f"seq={row[0]:6d} scan_flops={row[1]:>12d} dense_flops={row[2]:>14d} "
-              f"scan={row[3]:.4f}s backward={row[4]:.4f}s dense={dense}")
-    print(f"wrote {path}")
-    return 0
-
-
 def cmd_count(args):
     ref = tr.REFERENCE_FULL_SCALE
     rows = [("toy", PipelineConfig.toy()), ("full", PipelineConfig.full())]
@@ -432,9 +386,6 @@ _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _finite_non_negative = _checked(float, lambda v: np.isfinite(v) and v >= 0,
                                 "a finite non-negative number")
-_positive_int_list = _checked(lambda text: [int(s) for s in text.split(",") if s],
-                              lambda v: v and min(v) >= 1,
-                              "a comma-separated list of positive integers")
 
 
 def build_parser():
@@ -472,12 +423,6 @@ def build_parser():
 
     p = sub.add_parser("rig-export", help="write the configured rig as JSON")
     p.set_defaults(fn=cmd_rig_export)
-
-    p = sub.add_parser("bench-scan", help="scan vs dense-operator cost comparison")
-    p.add_argument("--seq-lengths", type=_positive_int_list, default="256,512,1024,2048")
-    p.add_argument("--dense-cap", type=_non_negative_int, default=2048,
-                   help="skip dense timing above this length (memory)")
-    p.set_defaults(fn=cmd_bench_scan)
 
     p = sub.add_parser("count", help="parameter and FLOP accounting")
     p.set_defaults(fn=cmd_count)

@@ -141,7 +141,8 @@ class JointCoords:
 
 @dataclass
 class PipelineIntermediates:
-    """Every intermediate the stages exchange, for inspection and tests."""
+    """Every intermediate the stages exchange, for inspection and tests; a
+    batch's fields carry a leading B axis."""
     f_l: Tensor = None              # [c, h, w] backbone branch maps
     f_r: Tensor = None
     enh_l: Tensor = None            # [c, h, w] after the sequence blocks
@@ -159,7 +160,8 @@ class PipelineIntermediates:
 
 @dataclass
 class FullOutput:
-    """Both hands' outputs, left first along the leading axis."""
+    """Both hands' outputs, left first along the pair axis; a batch's outputs
+    carry a leading B axis before it."""
     theta: Tensor         # [2, 16, 3] axis-angle
     beta: Tensor          # [2, 10]
     joints_uvd: Tensor    # [2, J, 3] heatmap-frame (x, y, depth-bin)
@@ -170,11 +172,13 @@ class FullOutput:
 
 
 # Read-only per-hand views (``theta_l``, ``vertices_r``, ...), built when read,
-# for readers outside the package that still take one hand at a time.
+# for readers outside the package that still take one hand at a time. Each
+# indexes the pair axis, so a batch's view holds that hand of every sample.
 for _name in ("theta", "beta", "joints_uvd", "joints_mm", "vertices"):
     for _index, _hand in enumerate("lr"):
-        setattr(FullOutput, f"{_name}_{_hand}",
-                property(lambda out, name=_name, index=_index: getattr(out, name)[index]))
+        setattr(FullOutput, f"{_name}_{_hand}", property(
+            lambda out, name=_name, index=_index:
+                getattr(out, name)[(slice(None),) * (out.t_rel.ndim - 1) + (index,)]))
 
 
 # -- network stages -------------------------------------------------------------
@@ -283,15 +287,16 @@ class JointFeatureExtractor(Module):
         self.pixel_grid = np.stack([grid_x.ravel(), grid_y.ravel()]).astype(np.float64)
         self.bins = np.arange(d, dtype=np.float64)
 
-    def __call__(self, f_l, f_r):
-        """Each hand's heatmaps; both hands' coordinates [2,J,...] and features [2,J,c]."""
-        j = self.joints
+    def __call__(self, *maps):
+        """Each map's heatmaps; the coordinates [n,J,...] and features [n,J,c] of
+        the n per-hand maps [c,h,w], decoded and sampled as one batch."""
+        n, j = len(maps), self.joints
         heats = [Heatmap2p5D(self.heat_conv(f), reshape(self.depth_conv(f).mean(axis=(1, 2)),
-                                                        (j, -1))) for f in (f_l, f_r)]
+                                                        (j, -1))) for f in maps]
         spatial = stack([heat.spatial_logits for heat in heats])
-        xy = soft_argmax(reshape(spatial, (2, j, -1)), self.pixel_grid)
+        xy = soft_argmax(reshape(spatial, (n, j, -1)), self.pixel_grid)
         z = soft_argmax(stack([heat.depth_logits for heat in heats]), self.bins)
-        return heats, JointCoords(xy=xy, z=z), grid_sample(stack([f_l, f_r]), xy)
+        return heats, JointCoords(xy=xy, z=z), grid_sample(stack(maps), xy)
 
 
 class JointSequenceRefiner(Module):
@@ -335,16 +340,20 @@ class DualHandRegressor(Module):
         self.trel_fc = Linear(2 * c, 3, zero_init=True)
 
     def __call__(self, refined, uvd, starred_l, starred_r):
-        """Both hands' pose [2,16,3] and shape [2,10], from their refined features
-        ``refined`` [2,J,c] and joint coordinates ``uvd`` [2,J,3]; and the
-        relative translation [3]."""
-        packed = concat([refined, uvd * Tensor(self.coord_scale)], axis=2)
-        # each hand's input is its own one-row matrix, as when the hands ran apart
-        theta = reshape(self.theta_fc_l(reshape(packed, (2, 1, -1))), (2,) + THETA_SHAPE)
-        beta = reshape(self.beta_fc_l(refined.mean(axis=1, keepdims=True)), (2, BETA_DIM))
-        pooled = concat([starred_l.mean(axis=(1, 2)), starred_r.mean(axis=(1, 2))], axis=0)
-        t_rel = self.trel_fc(pooled) * self.TREL_SCALE_MM
-        return theta, beta, t_rel
+        """Both hands' pose [...,2,16,3] and shape [...,2,10], from their refined
+        features ``refined`` [...,2,J,c] and joint coordinates ``uvd`` [...,2,J,3];
+        and the relative translation [...,3] from the maps [...,c,h,w]. The leading
+        ``...`` is empty for one image and [B] for a batch."""
+        lead = refined.shape[:-3]
+        packed = concat([refined, uvd * Tensor(self.coord_scale)], axis=-1)
+        # each hand's and each sample's input is its own one-row matrix, whose
+        # product keeps the bits it had alone; a B-row matrix would round otherwise
+        theta = reshape(self.theta_fc_l(reshape(packed, lead + (2, 1, -1))),
+                        lead + (2,) + THETA_SHAPE)
+        beta = reshape(self.beta_fc_l(refined.mean(axis=-2, keepdims=True)), lead + (2, BETA_DIM))
+        pooled = concat([starred_l.mean(axis=(-2, -1)), starred_r.mean(axis=(-2, -1))], axis=-1)
+        t_rel = reshape(self.trel_fc(reshape(pooled, lead + (1, -1))), lead + (3,))
+        return theta, beta, t_rel * self.TREL_SCALE_MM
 
 
 class BimanualHandNet(Module):
@@ -362,10 +371,44 @@ class BimanualHandNet(Module):
         self.rig = build_rig(config)
 
     def forward(self, img):
-        f_l, f_r = self.backbone(img)
-        starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r) = self.interaction(f_l, f_r)
-        (heat_l, heat_r), coords, feats = self.extractor_l(starred_l, starred_r)
+        """Both hands' outputs for one image [3,H,W], or for each image of a batch
+        [B,3,H,W], with a leading B axis on every output and ``aux`` field.
+
+        The image stages (backbone, interaction, the extractor's two
+        convolutions) run once per image: their kernels ``conv2d_raw`` and
+        ``selective_scan`` take one item, whose shapes perfbench's tracer
+        unpacks. From the joint decode on, the batch's 2B hands (left, then
+        right, per image) run as one pair-batch: one soft-argmax, one
+        ``grid_sample``, one refiner and regressor pass and one ``lbs``. Each
+        image gets the bits of its own forward.
+        """
+        cfg = self.config
+        chw = (3, cfg.image_h, cfg.image_w)
+        single = img.shape == chw
+        if not (single or img.ndim == 4 and img.shape[0] >= 1 and img.shape[1:] == chw):
+            raise ValueError(f"expected image [3,{cfg.image_h},{cfg.image_w}] or "
+                             f"[B,3,{cfg.image_h},{cfg.image_w}] with B >= 1, got {img.shape}")
+        maps = []  # per image: f_l, f_r, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r
+        for x in [img] if single else [img[i] for i in range(img.shape[0])]:
+            f_l, f_r = self.backbone(x)
+            starred_l, starred_r, enh_inter = self.interaction(f_l, f_r)
+            maps.append((f_l, f_r) + enh_inter + (starred_l, starred_r))
+        heats, coords, feats = self.extractor_l(*(m for per_image in maps for m in per_image[6:]))
         refined = self.refiner(feats)
+        if single:
+            f_l, f_r, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r = maps[0]
+            heat_l, heat_r = heats
+        else:  # each per-hand map stacked over the batch, each [2B, ...] as [B, 2, ...]
+            f_l, f_r, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r = (
+                stack(list(batch)) for batch in zip(*maps))
+            heat_l, heat_r = (Heatmap2p5D(stack([h.spatial_logits for h in heats[k::2]]),
+                                          stack([h.depth_logits for h in heats[k::2]]))
+                              for k in (0, 1))
+
+            def pairs(t):
+                return reshape(t, (len(maps), 2) + t.shape[1:])
+            coords = JointCoords(xy=pairs(coords.xy), z=pairs(coords.z))
+            feats, refined = pairs(feats), pairs(refined)
         uvd = coords.uvd()
         theta, beta, t_rel = self.regressor(refined, uvd, starred_l, starred_r)
         hands = handmodel.lbs(self.rig, theta, beta)

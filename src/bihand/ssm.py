@@ -10,9 +10,8 @@ and output couplings are functions of the sequence being processed:
 factor stays inside (0, 1) for any positive ``delta``, so the recurrence is
 unconditionally stable. ``selective_scan`` is a single graph node with a
 hand-derived reverse recurrence, so sequence length adds steps, not graph
-depth. Work per step is constant; a dense materialization of the same linear
-operator (``dense_scan_reference``) costs quadratic work and serves as both
-correctness oracle and efficiency baseline.
+depth. Work per step is constant, so the scan's cost is linear in sequence
+length (``scan_flops``).
 """
 
 import numpy as np
@@ -227,42 +226,10 @@ def sequence_to_featuremap(seq, h, w):
     return reshape(transpose(seq, (1, 0)), (seq.shape[1], h, w))
 
 
-# -- quadratic reference operator and work accounting -------------------------
-
-def dense_scan_reference(delta, a, b, c, d_skip, x):
-    """Materialize the scan as one lower-triangular matrix per channel.
-
-    Same linear map as ``selective_scan`` built along a completely different
-    route: cumulative log-decays, an explicit [seq, seq] kernel, then a
-    matvec. Quadratic in sequence length; used as oracle and as the
-    efficiency baseline. Inputs and output are plain numpy arrays.
-    """
-    seq, ch = x.shape
-    y = np.empty_like(x)
-    logdecay = np.cumsum(delta[:, :, None] * a[None, :, :], axis=0)  # [T, C, S]
-    tril = np.tril(np.ones((seq, seq)))
-    for d in range(ch):
-        decay = np.exp(logdecay[:, None, d, :] - logdecay[None, :, d, :])  # [t, tau, S]
-        kernel = np.einsum("ts,tus,us->tu", c, decay,
-                           delta[:, d, None] * b)                   # [t, tau]
-        kernel *= tril
-        y[:, d] = kernel @ x[:, d] + d_skip[d] * x[:, d]
-    return y
-
+# -- work accounting -------------------------------------------------------------
 
 def scan_flops(seq, channels, state):
     """Floating-point work of the sequential scan, counted off its own steps."""
     # decay factors (mul+exp), input increments (2 mul), recurrence (mul+add),
     # readout (mul+add) -> 8 per (t, channel, state); skip path -> 2 per (t, channel)
     return seq * channels * (8 * state + 2)
-
-
-def dense_scan_flops(seq, channels, state):
-    """Floating-point work of the dense materialized operator."""
-    # per channel: decay exponentials (sub+exp), kernel contraction (3), mask,
-    # matvec (2) -> seq^2 * (3*state + ...) dominated terms counted explicitly
-    per_channel = (seq * seq * state * 2      # pairwise decay: subtract + exp
-                   + seq * seq * state * 3    # kernel einsum: 2 mul + accumulate
-                   + seq * seq               # triangular mask multiply
-                   + 2 * seq * seq)          # kernel @ x
-    return channels * (per_channel + 2 * seq * state + 2 * seq)

@@ -95,6 +95,12 @@ class TrainingSample:
                 "gt_joints_uvd": (2, config.joints, 3),
                 "gt_vertices": (2, config.vertices, 3), "gt_t_rel": (3,)}
 
+    @staticmethod
+    def stack(samples):
+        """One batch of ``samples``: each field their arrays stacked, [B, ...]."""
+        return TrainingSample(**{f.name: np.stack([getattr(s, f.name) for s in samples])
+                                 for f in fields(TrainingSample)})
+
 
 def save_dataset(path, samples):
     """Write ``samples`` as a ``meta/count`` record, then each sample's
@@ -141,14 +147,17 @@ def mae(pred, target, term, axis=None):
 
 def loss_terms(pred, gt):
     """The nine mean-absolute-error terms, keyed as in the trace CSV; each
-    pair quantity's two hand terms come from one error vector over the pair."""
+    pair quantity's two hand terms come from one error over the pair. For a
+    batch's outputs and its ground truth (``TrainingSample.stack``) each term
+    is a [B] vector of the samples' terms; for one sample, a scalar."""
+    lead = pred.t_rel.ndim - 1  # the batch axis, if any, precedes the pair axis
     terms = {}
     for term, name in (("theta", "theta"), ("beta", "beta"), ("joint", "joints_uvd"),
                        ("vert", "vertices")):
         p = getattr(pred, name)
-        err = mae(p, getattr(gt, f"gt_{name}"), term, axis=tuple(range(1, p.ndim)))
-        terms[f"{term}_l"], terms[f"{term}_r"] = err[0], err[1]
-    terms["trel"] = mae(pred.t_rel, gt.gt_t_rel, "trel")
+        err = mae(p, getattr(gt, f"gt_{name}"), term, axis=tuple(range(lead + 1, p.ndim)))
+        terms[f"{term}_l"], terms[f"{term}_r"] = err[..., 0], err[..., 1]
+    terms["trel"] = mae(pred.t_rel, gt.gt_t_rel, "trel", axis=-1)
     return terms
 
 
@@ -162,8 +171,23 @@ def weighted_sum(terms, weights):
 
 
 def loss(pred, gt, weights=None):
-    """Weighted sum of the nine L1 terms; differentiable scalar."""
+    """Weighted sum of the nine L1 terms: a scalar, or [B] for a batch."""
     return weighted_sum(loss_terms(pred, gt), weights or LossWeights())
+
+
+def batch_loss(net, samples):
+    """One graph over ``samples``: the mean of their weighted losses, and the
+    nine [B] loss terms. The images and ground truth are stacked into one
+    batch and run through one forward; the samples' weighted sums are added
+    in sample order and scaled by 1/B, so the mean has the bits of a loop
+    of per-sample forwards."""
+    gt = TrainingSample.stack(samples)
+    terms = loss_terms(net.forward(Tensor(gt.image)), gt)
+    per_sample = weighted_sum(terms, LossWeights())
+    total = per_sample[0]
+    for i in range(1, len(samples)):
+        total = total + per_sample[i]
+    return total * (1.0 / len(samples)), terms
 
 
 class Adam:
@@ -335,8 +359,13 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
 
     ``schedule`` is "none" (constant lr) or "step" (decay 0.1x at epochs 10
     and 15 from ``lr``). Aborts with the step index if the loss goes
-    non-finite, or if a NaN stops the scan first. Per-sample losses are
-    averaged inside one graph so gradient accumulation is merged in sample order.
+    non-finite, or if a NaN stops the scan first.
+
+    Each step builds one graph (``batch_loss``): one forward of the batch's
+    stacked [B,3,H,W] images and one ``loss_terms`` call, whose loss and
+    trace row have the bits of a loop of per-sample forwards. Inside that
+    forward the image stages still run per image, because ``conv2d_raw``
+    and ``selective_scan`` take one item (see ``BimanualHandNet.forward``).
 
     Graphs hold no reference cycles, so the cyclic collector frees nothing
     here; its generation-0 threshold is raised while the loop runs, and the
@@ -351,7 +380,6 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
         raise ValueError(f"train_loop needs a finite lr >= 0, got {lr}")
     if schedule not in ("none", "step"):
         raise ValueError(f"train_loop schedule must be 'none' or 'step', got {schedule!r}")
-    weights = LossWeights()
     opt = Adam(net.params(), lr=lr)
     result = TrainResult()
     step = 0
@@ -363,18 +391,14 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
             opt.lr = cur_lr
             for start in range(0, len(dataset), batch_size):
                 batch = dataset[start:start + batch_size]
-                total = None
-                term_values = {name: 0.0 for name in LOSS_TERMS}
-                for sample in batch:
-                    try:
-                        terms = loss_terms(net.forward(Tensor(sample.image)), sample)
-                    except RuntimeError as exc:  # the scan rejects NaN before the loss sees it
-                        raise RuntimeError(f"non-finite loss at step {step}: {exc}") from exc
-                    for name in LOSS_TERMS:
-                        term_values[name] += float(terms[name].data) / len(batch)
-                    sample_total = weighted_sum(terms, weights)
-                    total = sample_total if total is None else total + sample_total
-                total = total * (1.0 / len(batch))
+                try:
+                    total, terms = batch_loss(net, batch)
+                except RuntimeError as exc:  # the scan rejects NaN before the loss sees it
+                    raise RuntimeError(f"non-finite loss at step {step}: {exc}") from exc
+                term_values = dict.fromkeys(LOSS_TERMS, 0.0)
+                for name in LOSS_TERMS:
+                    for term in terms[name].data:  # in sample order, as the trace always summed
+                        term_values[name] += float(term) / len(batch)
                 value = float(total.data)
                 if not np.isfinite(value):
                     raise RuntimeError(f"non-finite loss at step {step}")
@@ -382,6 +406,7 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
                     result.initial_loss = value
                 opt.zero_grad()
                 total.backward()
+                del total, terms  # the graph dies here, not while the next step builds its own
                 opt.step()
                 result.trace.append([step, epoch, cur_lr, value]
                                     + [term_values[n] for n in LOSS_TERMS])

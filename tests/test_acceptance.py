@@ -17,6 +17,7 @@ from bihand.pipeline import (BimanualHandNet, JointSequenceRefiner,
                              PipelineConfig, soft_argmax)
 from bihand.ssm import VmBlockLayer
 from bihand.tensor import Tensor, no_grad, stack
+from scan_reference import dense_scan_flops, dense_scan_reference
 
 
 def report(criterion, ok, detail):
@@ -67,7 +68,7 @@ def test_criterion_2_scan_vs_dense_operator():
         x = rng.uniform(-1, 1, (seq, ch))
         coeffs = ssm.ScanCoeffs(Tensor(delta), Tensor(a), Tensor(b), Tensor(c), Tensor(d))
         got = ssm.selective_scan(coeffs, Tensor(x)).data
-        want = ssm.dense_scan_reference(delta, a, b, c, d, x)
+        want = dense_scan_reference(delta, a, b, c, d, x)
         worst = max(worst, float(np.max(np.abs(got - want))))
     report("2a", worst <= 1e-10, f"scan vs dense operator, 120 trials, "
                                  f"max gap {worst:.2e} <= 1e-10")
@@ -329,7 +330,7 @@ def test_criterion_5_cost_scaling():
     ch, state = 4, 8
     seqs = [256, 512, 1024, 2048]
     scan = [ssm.scan_flops(s, ch, state) for s in seqs]
-    dense = [ssm.dense_scan_flops(s, ch, state) for s in seqs]
+    dense = [dense_scan_flops(s, ch, state) for s in seqs]
     scan_ratios = [scan[i + 1] / scan[i] for i in range(3)]
     dense_ratios = [dense[i + 1] / dense[i] for i in range(3)]
     ok = all(1.9 <= r <= 2.1 for r in scan_ratios) \

@@ -336,32 +336,6 @@ def test_rig_export_follows_config(tmp_path):
     assert handmodel.load_rig_json(tmp_path / "rig" / "rig.json").num_vertices == 244
 
 
-def test_bench_scan_small_lengths(tmp_path, capsys):
-    out = tmp_path / "bench"
-    assert run(["--out", str(out), "--seed", "1", "bench-scan",
-                "--seq-lengths", "1,8,32"]) == 0
-    lines = (out / "bench_scan.csv").read_text().strip().splitlines()
-    assert lines[0].startswith("seq,scan_flops,dense_flops")
-    assert len(lines) == 4
-    assert lines[0].split(",")[4] == "scan_backward_seconds"
-    for line in lines[1:]:
-        backward_s = float(line.split(",")[4])
-        assert np.isfinite(backward_s) and backward_s > 0
-    # the dense reference and the scan agree where both ran
-    for line in lines[1:]:
-        gap = float(line.split(",")[-1])
-        assert gap <= 1e-10
-
-
-def test_bench_scan_names_skipped_dense_run(tmp_path, capsys):
-    out = tmp_path / "bench"
-    assert run(["--out", str(out), "bench-scan", "--seq-lengths", "4,8", "--dense-cap", "4"]) == 0
-    printed = capsys.readouterr().out.splitlines()
-    assert "dense=skipped" not in printed[0] and printed[1].endswith("dense=skipped")
-    rows = (out / "bench_scan.csv").read_text().strip().splitlines()[1:]
-    assert float(rows[0].split(",")[-1]) <= 1e-10 and np.isnan(float(rows[1].split(",")[-1]))
-
-
 def test_count_reports_reference(capsys):
     assert run(["count"]) == 0
     out = capsys.readouterr().out
@@ -402,16 +376,11 @@ def test_missing_config_file_exit_2(capsys):
     ["train-toy", "--lr", "inf"],
     ["train-toy", "--lr", "-1"],
     ["--seed", "-1", "train-toy"],
-    ["bench-scan", "--seq-lengths", "0"],
-    ["bench-scan", "--seq-lengths", "x"],
-    ["bench-scan", "--seq-lengths", "8", "--dense-cap", "-1"],
-    ["bench-scan", "--seq-lengths", "8", "--dense-cap", "x"],
 ])
 def test_non_positive_loop_bounds_exit_2(argv, tmp_path, capsys):
     assert run(["--out", str(tmp_path / "o")] + argv) == 2
     wants = {"--noise": "a finite non-negative number", "--lr": "a finite non-negative number",
-             "--seed": "a non-negative integer", "--dense-cap": "a non-negative integer",
-             "--seq-lengths": "a comma-separated list of positive integers"}
+             "--seed": "a non-negative integer"}
     want = next((w for flag, w in wants.items() if flag in argv), "a positive integer")
     assert f"must be {want}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -2,7 +2,9 @@
 gives, for each hand, the forward bits of a call on that hand alone, and
 gradients within 1e-12 of the two single calls' (a shared weight's gradient
 is the sum of the hands'). The whole network stays under a node budget, and
-its outputs keep the pair as one tensor from the forward to the loss."""
+its outputs keep the pair as one tensor from the forward to the loss. A
+batch of images runs the hand stages once for all its 2B hands, with each
+image's single-image bits."""
 
 import collections
 
@@ -216,3 +218,115 @@ def test_per_hand_output_views_are_read_only_slices_of_the_pair():
             assert view.data.tobytes() == pair[index].tobytes()
             with pytest.raises(AttributeError):
                 setattr(out, f"{name}_{hand}", view)
+
+
+def test_per_hand_output_views_index_the_pair_axis_of_a_batch():
+    net, sample = _toy_training_sample()
+    with no_grad():
+        out = net.forward(Tensor(np.stack([sample.image, sample.image[::-1]])))
+    for name in ("theta", "beta", "joints_uvd", "joints_mm", "vertices"):
+        batch = getattr(out, name).data
+        for index, hand in enumerate("lr"):
+            view = getattr(out, f"{name}_{hand}")
+            assert view.data.tobytes() == batch[:, index].tobytes()
+            with pytest.raises(AttributeError):
+                setattr(out, f"{name}_{hand}", view)
+
+
+# -- the batch axis below the image stages ------------------------------------------
+
+def _woken_toy_net(seed):
+    net = BimanualHandNet(PipelineConfig.toy(seed=seed))
+    rng = np.random.default_rng(seed)
+    for _, t in net.params():  # zero-initialized heads would hide the later stages
+        if np.all(t.data == 0.0):
+            t.data[:] = rng.normal(0, 0.1, t.data.shape)
+    return net
+
+
+def _arrays(out):
+    """Every array of a ``FullOutput``, its ``aux`` included, by name."""
+    aux = out.aux
+    named = {name: getattr(out, name) for name in
+             ("theta", "beta", "joints_uvd", "joints_mm", "vertices", "t_rel")}
+    named.update({f"aux.{name}": getattr(aux, name) for name in
+                  ("f_l", "f_r", "enh_l", "enh_r", "inter_l", "inter_r", "starred_l",
+                   "starred_r", "joint_feats", "refined_feats")})
+    for hand in ("heatmap_l", "heatmap_r"):
+        heat = getattr(aux, hand)
+        named[f"aux.{hand}.spatial"] = heat.spatial_logits
+        named[f"aux.{hand}.depth"] = heat.depth_logits
+    named["aux.coords.xy"], named["aux.coords.z"] = aux.coords.xy, aux.coords.z
+    return {name: t.data for name, t in named.items()}
+
+
+def test_batch_forward_and_loss_match_single_image_calls():
+    net = _woken_toy_net(seed=3)
+    samples = tr.synth_dataset(net.config, net.rig, 3, seed=4)
+    batch = tr.TrainingSample.stack(samples)
+    out = net.forward(Tensor(batch.image))
+    terms = tr.loss_terms(out, batch)
+    batched = _arrays(out)
+    assert len(batched) == 22
+    for i, sample in enumerate(samples):
+        single = net.forward(Tensor(sample.image))
+        for name, array in _arrays(single).items():
+            assert batched[name][i].shape == array.shape, name
+            assert batched[name][i].tobytes() == array.tobytes(), name
+        for name, term in tr.loss_terms(single, sample).items():
+            assert terms[name].shape == (3,) and term.shape == ()
+            assert terms[name].data[i].tobytes() == term.data.tobytes(), name
+
+
+def test_toy_batch_step_matches_the_per_sample_loop():
+    cfg = PipelineConfig.toy()
+    net = BimanualHandNet(cfg)
+    # data whose eight losses round differently summed pairwise than in sample order
+    samples = tr.synth_dataset(cfg, net.rig, 8, seed=4)
+    # lr 0 leaves the parameters as they were, and each keeps its step-0 gradient
+    row = tr.train_loop(net, samples, epochs=1, batch_size=8, lr=0.0).trace[0]
+    batched = [t.grad.copy() for _, t in net.params()]
+
+    total, term_values = None, dict.fromkeys(tr.LOSS_TERMS, 0.0)
+    for sample in samples:
+        terms = tr.loss_terms(net.forward(Tensor(sample.image)), sample)
+        for name in tr.LOSS_TERMS:
+            term_values[name] += float(terms[name].data) / len(samples)
+        loss = tr.weighted_sum(terms, tr.LossWeights())
+        total = loss if total is None else total + loss
+    total = total * (1.0 / len(samples))
+    for _, t in net.params():
+        t.grad = None
+    total.backward()
+    assert row == [0, 0, 0.0, float(total.data)] + [term_values[n] for n in tr.LOSS_TERMS]
+    for (name, t), g in zip(net.params(), batched):
+        assert np.max(np.abs(g - t.grad)) <= GRAD_TOL * np.max(np.abs(t.grad)), name
+
+
+def test_toy_batch_step_stays_under_the_batch_node_budget():
+    # eight per-sample graphs of a toy batch-8 step ran 2520 op nodes
+    cfg = PipelineConfig.toy()
+    net = BimanualHandNet(cfg)
+    samples = tr.synth_dataset(cfg, net.rig, 8, seed=3)
+    tags = collections.Counter()
+    with observe_ops(lambda tag, out, parents: tags.update([tag])):
+        tr.train_loop(net, samples, epochs=1, batch_size=8, lr=0.0)
+    assert sum(tags.values()) <= 1300, tags
+    assert tags["grid_sample"] == 1 and tags["abs"] == 5
+
+
+@pytest.mark.parametrize("shape", [(3, 64, 63), (64, 64), (0, 3, 64, 64), (2, 1, 64, 64),
+                                   (1, 1, 3, 64, 64)])
+def test_forward_names_an_image_of_another_shape(shape):
+    net = BimanualHandNet(PipelineConfig.toy())
+    with pytest.raises(ValueError, match=r"expected image \[3,64,64\] or \[B,3,64,64\]"):
+        net.forward(Tensor(np.zeros(shape)))
+
+
+def test_loss_terms_name_a_ground_truth_batch_of_another_size():
+    net, sample = _toy_training_sample()
+    with no_grad():
+        out = net.forward(Tensor(np.stack([sample.image] * 3)))
+    for gt in (tr.TrainingSample.stack([sample] * 2), sample):
+        with pytest.raises(ValueError, match="loss term 'theta'"):
+            tr.loss_terms(out, gt)

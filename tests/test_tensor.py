@@ -269,11 +269,7 @@ def test_toy_graph_is_freed_by_reference_counting():
 
 def _toy_batch_loss(net, samples):
     """The batch loss ``train_loop`` builds: the mean of the samples' weighted losses."""
-    total = None
-    for sample in samples:
-        term = tr.loss(net.forward(T.Tensor(sample.image)), sample)
-        total = term if total is None else total + term
-    return total * (1.0 / len(samples))
+    return tr.batch_loss(net, samples)[0]
 
 
 def test_backward_keeps_leaf_gradients_and_frees_interior_ones():
@@ -326,6 +322,15 @@ def test_backward_of_a_toy_batch_barely_raises_the_traced_peak():
 
     after_forward, _, peak = _traced(step)
     assert peak <= 1.10 * after_forward, (after_forward, peak)
+
+
+def test_train_loop_frees_each_step_graph_before_building_the_next():
+    # two graphs alive at once would double the peak of a one-step run
+    net = BimanualHandNet(PipelineConfig.toy(seed=0))
+    samples = tr.synth_dataset(net.config, net.rig, 4, seed=3)
+    _, _, one = _traced(lambda: tr.train_loop(net, samples, epochs=1, batch_size=4, lr=1e-3))
+    _, _, three = _traced(lambda: tr.train_loop(net, samples, epochs=3, batch_size=4, lr=1e-3))
+    assert three <= 1.10 * one, (one, three)
 
 
 def test_forward_and_loss_of_a_128px_sample_retain_at_most_21_5_mb():
