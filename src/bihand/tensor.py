@@ -32,7 +32,6 @@ import contextlib
 import numpy as np
 
 _grad_enabled = True
-_corrupt_op = None
 _op_observer = None
 
 
@@ -63,17 +62,6 @@ def observe_ops(fn):
         yield
     finally:
         _op_observer = prev
-
-
-def set_gradient_corruption(op_tag):
-    """Test hook: scale the output gradient of nodes tagged ``op_tag`` by 1.5.
-
-    Deliberately breaks the chain rule for one primitive so the gradient
-    checker can demonstrate that it catches wrong gradients. Pass ``None``
-    to restore correct behaviour. Never enable outside that negative control.
-    """
-    global _corrupt_op
-    _corrupt_op = op_tag
 
 
 def _contig(a):
@@ -168,14 +156,9 @@ class Tensor:
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
         for node in order:
-            fn = node._backward
-            if fn is None:
+            if node._backward is None or node.grad is None:
                 continue
-            if _corrupt_op is not None and node._op == _corrupt_op and node.grad is not None:
-                node.grad = node.grad * 1.5
-            if node.grad is None:
-                continue
-            fn(node.grad)
+            node._backward(node.grad)
             node.grad = None  # spent: only leaves keep their gradients
 
     # -- operator overloads ---------------------------------------------

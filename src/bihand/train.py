@@ -105,10 +105,10 @@ class TrainingSample:
 def save_dataset(path, samples):
     """Write ``samples`` as a ``meta/count`` record, then each sample's
     fields in order, named ``s00000/image``, ``s00000/gt_theta``, ..."""
-    records = [("meta/count", Tensor(np.array(float(len(samples)))))]
+    records = [("meta/count", float(len(samples)))]
     for i, s in enumerate(samples):
         for f in fields(s):
-            records.append((f"s{i:05d}/{f.name}", Tensor(getattr(s, f.name))))
+            records.append((f"s{i:05d}/{f.name}", getattr(s, f.name)))
     save_checkpoint(path, records)
 
 
@@ -222,25 +222,25 @@ class Adam:
             p.grad = None
 
 
-def lr_schedule(epoch, base_lr=1e-4, milestones=(10, 15), factor=0.1):
-    """Step decay: multiply by ``factor`` at each milestone epoch."""
+def lr_schedule(epoch, base_lr=1e-4):
+    """Step decay: ``base_lr`` multiplied by 0.1 at epoch 10 and again at 15."""
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
     lr = base_lr
-    for m in milestones:
-        if epoch >= m:
-            lr *= factor
+    for milestone in (10, 15):
+        if epoch >= milestone:
+            lr *= 0.1
     return lr
 
 
 # -- synthetic data ---------------------------------------------------------------
 
-def render_gaussian_blobs(points_px, image_h, image_w, sigma=2.0):
-    """Sum of unit-height isotropic Gaussians splatted at (x, y) pixels."""
+def render_gaussian_blobs(points_px, image_h, image_w):
+    """Sum of unit-height isotropic Gaussians, sigma 2 px, splatted at (x, y) pixels."""
     ys, xs = np.mgrid[0:image_h, 0:image_w].astype(np.float64)
     img = np.zeros((image_h, image_w))
     for x, y in points_px:
-        img += np.exp(-((xs - x) ** 2 + (ys - y) ** 2) / (2.0 * sigma ** 2))
+        img += np.exp(-((xs - x) ** 2 + (ys - y) ** 2) / 8.0)  # 2 sigma^2
     return img
 
 
@@ -296,37 +296,42 @@ def hands_overlap(sample, config):
 
 # -- metrics ----------------------------------------------------------------------
 
-def mpjpe(pred_joints, gt_joints, root_index=0):
-    """Mean per-joint Euclidean distance in mm after root alignment."""
+def mpjpe(pred_joints, gt_joints):
+    """Mean per-joint Euclidean distance in mm after aligning joint 0, the root."""
     pred = np.asarray(pred_joints, dtype=np.float64)
     gt = np.asarray(gt_joints, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"joint sets disagree: {pred.shape} vs {gt.shape}")
-    pred = pred - pred[root_index]
-    gt = gt - gt[root_index]
+    pred = pred - pred[0]
+    gt = gt - gt[0]
     return float(np.linalg.norm(pred - gt, axis=1).mean())
 
 
-def mpvpe(pred_vertices, gt_vertices, regressor, root_index=0):
-    """Mean per-vertex distance in mm, aligned at the regressed root joint."""
+def mpvpe(pred_vertices, gt_vertices, regressor):
+    """Mean per-vertex distance in mm, aligned at the regressed root joint (row 0)."""
     pred = np.asarray(pred_vertices, dtype=np.float64)
     gt = np.asarray(gt_vertices, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"vertex sets disagree: {pred.shape} vs {gt.shape}")
-    pred = pred - regressor[root_index] @ pred
-    gt = gt - regressor[root_index] @ gt
+    pred = pred - regressor[0] @ pred
+    gt = gt - regressor[0] @ gt
     return float(np.linalg.norm(pred - gt, axis=1).mean())
 
 
 def evaluate(net, dataset):
-    """Per-split MPJPE/MPVPE means over samples (both hands averaged)."""
+    """Per-split MPJPE/MPVPE means over samples (both hands averaged); a
+    non-finite output is a ValueError naming its sample."""
     if not dataset:
         raise ValueError("cannot evaluate an empty dataset")
     rows = {"single": [], "two": []}
-    for sample in dataset:
+    for i, sample in enumerate(dataset):
         with no_grad():
             out = net.forward(Tensor(sample.image))
         joints, vertices = out.joints_mm.data, out.vertices.data
+        for name, arr in (("joints_mm", joints), ("vertices", vertices)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"sample {i} (s{i:05d}): the network's {name} "
+                                 f"holds a non-finite value")
         pj = 0.5 * (mpjpe(joints[0], sample.gt_joints[0]) + mpjpe(joints[1], sample.gt_joints[1]))
         pv = 0.5 * (mpvpe(vertices[0], sample.gt_vertices[0], net.rig.regressor)
                     + mpvpe(vertices[1], sample.gt_vertices[1], net.rig.regressor))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bihand import cli, handmodel, train as tr
+from bihand import cli, gradcheck, handmodel, train as tr
 from bihand.pipeline import (BimanualHandNet, PipelineConfig, load_checkpoint, save_checkpoint,
                              save_config_json)
 from bihand.tensor import Tensor
@@ -38,8 +38,8 @@ def test_gradcheck_reports_every_op_once(capsys):
     assert run(["gradcheck"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     names = [line.split()[0] for line in lines if "max_rel_err" in line]
-    assert names == [name for name, _, _ in cli.GRADCHECK_REGISTRY] == GRADCHECK_NAMES
-    tols = {name: tol for name, _, tol in cli.GRADCHECK_REGISTRY}
+    assert names == [name for name, _, _ in gradcheck.GRADCHECK_REGISTRY] == GRADCHECK_NAMES
+    tols = {name: tol for name, _, tol in gradcheck.GRADCHECK_REGISTRY}
     assert tols == {name: 1e-5 if name == "end_to_end" else 1e-6 for name in GRADCHECK_NAMES}
 
 
@@ -47,6 +47,13 @@ def test_gradcheck_corrupted_rule_fails(capsys):
     assert run(["gradcheck", "--corrupt", "scan"]) == 1
     out = capsys.readouterr()
     assert "FAIL" in out.out
+
+
+def test_gradcheck_unknown_corrupt_tag_exits_2_before_any_check(capsys):
+    assert run(["gradcheck", "--corrupt", "matmull"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'matmull'" in captured.err
 
 
 def test_train_toy_writes_artifacts(trained):
@@ -153,6 +160,25 @@ def test_eval_non_finite_checkpoint_is_named_error(trained, tmp_path, capsys, va
     assert code == 1
     captured = capsys.readouterr()
     assert f"checkpoint record {name!r} holds a non-finite value" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_eval_non_finite_output_names_the_sample(trained, tmp_path, capsys):
+    # a finite but huge weight loads, and the forward's outputs overflow to nan
+    bad = tmp_path / "huge.ckpt"
+    name = "interaction.initial_conv.weight"
+    weight = dict(load_checkpoint(trained / "model.ckpt"))[name].copy()
+    weight[0] = 1e300
+    write_dataset_with(trained / "model.ckpt", bad, name, weight)
+    code = run(["--out", str(tmp_path / "o"), "--seed", "3", "eval",
+                "--checkpoint", str(bad), "--data", str(trained / "dataset.bin")])
+    assert code == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: sample 0 (s00000): the network's joints_mm holds a non-finite value"]
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "o").exists()

@@ -6,9 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from bihand import gradcheck
 from bihand import tensor as T
 from bihand import train as tr
-from bihand.gradcheck import fd_check, rel_error
+from bihand.gradcheck import corrupt_gradients, fd_check, rel_error
 from bihand.pipeline import BimanualHandNet, PipelineConfig
 
 
@@ -343,12 +344,28 @@ def test_forward_and_loss_of_a_128px_sample_retain_at_most_21_5_mb():
 
 def test_gradient_corruption_hook_is_detected():
     x = T.Tensor([0.3, -0.7], requires_grad=True)
-    T.set_gradient_corruption("mul")
-    try:
+    with corrupt_gradients("mul"):
         err = fd_check(lambda: (x * x).sum(), [x])
-    finally:
-        T.set_gradient_corruption(None)
     assert err > 1e-3
+    assert fd_check(lambda: (x * x).sum(), [x]) <= 1e-6
+
+
+def test_gradient_corruption_is_reset_when_the_block_raises():
+    x = T.Tensor([0.3, -0.7], requires_grad=True)
+    with corrupt_gradients("add"):
+        with pytest.raises(ValueError, match="boom"):
+            with corrupt_gradients("mul"):
+                raise ValueError("boom")
+        assert gradcheck._corrupt_tag == "add"
+    assert gradcheck._corrupt_tag is None
+    assert fd_check(lambda: (x * x).sum(), [x]) <= 1e-6
+
+
+def test_backward_outside_fd_check_is_never_corrupted():
+    x = T.Tensor([0.3, -0.7], requires_grad=True)
+    with corrupt_gradients("mul"):
+        (x * x).sum().backward()
+    npt.assert_array_equal(x.grad, 2.0 * x.data)
 
 
 def test_fd_check_refuses_a_leaf_the_function_does_not_reach():

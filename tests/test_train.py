@@ -311,7 +311,7 @@ def test_mpjpe_matches_loop_oracle():
     for _ in range(50):
         a = rng.normal(0, 20, (21, 3))
         b = rng.normal(0, 20, (21, 3))
-        got = tr.mpjpe(a, b, root_index=0)
+        got = tr.mpjpe(a, b)
         aa = a - a[0]
         bb = b - b[0]
         want = 0.0
