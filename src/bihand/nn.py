@@ -9,7 +9,7 @@ counter see identical registries.
 
 import numpy as np
 
-from .tensor import Tensor, graph_op, matmul, reshape, transpose, _accum
+from .tensor import Tensor, graph_op, matmul, reshape, transpose, _accum, _node_of
 
 
 class Module:
@@ -67,16 +67,18 @@ def linear(x, weight, bias):
     if x.shape[-1] != n_in:
         raise ValueError(f"linear expects width {n_in}, got {x.shape}")
     out_data = x.data @ weight.data + bias.data
+    nx, nw, nb = _node_of(x), _node_of(weight), _node_of(bias)
+    flat = x.data.reshape(-1, n_in) if weight.requires_grad else None
+    wd = weight.data
 
     def bw(grad):
-        flat = x.data.reshape(-1, n_in)
         g2 = grad.reshape(-1, n_out)
-        if x.requires_grad:
-            _accum(x, (g2 @ weight.data.T).reshape(x.shape))
-        if weight.requires_grad:
-            _accum(weight, flat.T @ g2)
-        if bias.requires_grad:
-            _accum(bias, g2.sum(axis=0))
+        if nx.requires_grad:
+            _accum(nx, (g2 @ wd.T).reshape(nx.shape))
+        if nw.requires_grad:
+            _accum(nw, flat.T @ g2)
+        if nb.requires_grad:
+            _accum(nb, g2.sum(axis=0))
     return graph_op(out_data, (x, weight, bias), "linear", bw)
 
 
@@ -109,22 +111,25 @@ def conv2d_raw(x, weight, bias, stride=1, padding=0):
     w2 = weight.data.reshape(cout, cin * kh * kw)
     out_data = w2 @ cols
     out_data += bias.data[:, None]
+    nx, nw, nb = _node_of(x), _node_of(weight), _node_of(bias)
+    if not weight.requires_grad:
+        cols = None  # only the weight's gradient reads the columns
 
     def bw(grad):
         g2 = grad.reshape(cout, oh * ow)
-        if bias.requires_grad:
-            _accum(bias, g2.sum(axis=1))
-        if weight.requires_grad:
-            _accum(weight, (g2 @ cols.T).reshape(weight.shape))
-        if x.requires_grad and pointwise:
-            _accum(x, (w2.T @ g2).reshape(x.shape))
-        elif x.requires_grad:
+        if nb.requires_grad:
+            _accum(nb, g2.sum(axis=1))
+        if nw.requires_grad:
+            _accum(nw, (g2 @ cols.T).reshape(nw.shape))
+        if nx.requires_grad and pointwise:
+            _accum(nx, (w2.T @ g2).reshape(nx.shape))
+        elif nx.requires_grad:
             dcols = (w2.T @ g2).reshape(cin, kh, kw, oh, ow)
             dxp = np.zeros((cin, h + 2 * p, w + 2 * p))
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]
-            _accum(x, dxp[:, p:p + h, p:p + w] if p else dxp)
+            _accum(nx, dxp[:, p:p + h, p:p + w] if p else dxp)
     return graph_op(out_data.reshape(cout, oh, ow), (x, weight, bias), "conv2d", bw)
 
 
@@ -191,6 +196,8 @@ def layer_norm(x, gamma, beta, axes, eps):
     xhat /= sigma
     np.multiply(xhat, gamma.data.reshape(shape), out=out_data)
     out_data += beta.data.reshape(shape)
+    nx, ng, nb = _node_of(x), _node_of(gamma), _node_of(beta)
+    gd = gamma.data
 
     def bw(grad):
         # the normalized axes trail, so each normalized group is one row of a
@@ -198,18 +205,18 @@ def layer_norm(x, gamma, beta, axes, eps):
         # columns (trailing form) or its rows (spatial form)
         n = xhat.size // sigma.size
         g2, xh = grad.reshape(-1, n), xhat.reshape(-1, n)
-        if x.requires_grad:
-            dx = (grad * gamma.data.reshape(shape)).reshape(-1, n)
+        if nx.requires_grad:
+            dx = (grad * gd.reshape(shape)).reshape(-1, n)
             t = dx * xh
             dx -= dx.mean(axis=1, keepdims=True)
             dx -= np.multiply(xh, t.mean(axis=1, keepdims=True), out=t)
             dx /= sigma.reshape(-1, 1)
-            _accum(x, dx.reshape(x.shape))
+            _accum(nx, dx.reshape(nx.shape))
         across = 0 if trailing else 1
-        if gamma.requires_grad:
-            _accum(gamma, (g2 * xh).sum(axis=across))
-        if beta.requires_grad:
-            _accum(beta, g2.sum(axis=across))
+        if ng.requires_grad:
+            _accum(ng, (g2 * xh).sum(axis=across))
+        if nb.requires_grad:
+            _accum(nb, g2.sum(axis=across))
     return graph_op(out_data, (x, gamma, beta), "layernorm", bw)
 
 
@@ -234,9 +241,10 @@ def softmax(x, axis=-1):
     """
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
     p = e / e.sum(axis=axis, keepdims=True)
+    nx = _node_of(x)
 
     def bw(grad):
-        _accum(x, p * (grad - (grad * p).sum(axis=axis, keepdims=True)))
+        _accum(nx, p * (grad - (grad * p).sum(axis=axis, keepdims=True)))
     return graph_op(p, (x,), "softmax", bw)
 
 
@@ -270,23 +278,24 @@ def grid_sample(f, points):
     top = f00 * (1 - fx) + f01 * fx
     bot = f10 * (1 - fx) + f11 * fx
     out_data = top * (1 - fy) + bot * fy
+    nf, npts = _node_of(f), _node_of(points)
 
     def bw(g):
-        if f.requires_grad:
-            df = np.zeros_like(f.data)
+        if nf.requires_grad:
+            df = np.zeros(nf.shape)
             dfm = np.moveaxis(df, -3, -1)
             weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
             for k, wk in zip(corners, weights):
                 np.add.at(dfm, k, g * wk)
-            _accum(f, df)
-        if points.requires_grad:
+            _accum(nf, df)
+        if npts.requires_grad:
             dxc = (1 - fy) * (f01 - f00) + fy * (f11 - f10)
             dyc = bot - top
             in_x = (px >= 0.0) & (px <= w - 1.0)
             in_y = (py >= 0.0) & (py <= h - 1.0)
             dp = np.stack([(g * dxc).sum(axis=-1) * in_x,
                            (g * dyc).sum(axis=-1) * in_y], axis=-1)
-            _accum(points, dp)
+            _accum(npts, dp)
     return graph_op(out_data, (f, points), "grid_sample", bw)
 
 

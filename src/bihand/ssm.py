@@ -17,7 +17,7 @@ length (``scan_flops``).
 import numpy as np
 
 from .nn import Linear, LayerNormLayer, MlpLayer, Module
-from .tensor import Tensor, graph_op, reshape, stack, transpose, _accum
+from .tensor import Tensor, graph_op, reshape, stack, transpose, _accum, _node_of
 
 # softplus(bias) spans roughly [0.01, 0.1]: slow-to-fast step sizes at init
 _DT_BIAS_LO = float(np.log(np.expm1(0.01)))
@@ -73,33 +73,36 @@ def selective_scan(coeffs, x):
         np.multiply(abar[t], hs[t - 1], out=step)
         hs[t] += step
     y = np.einsum("ts,tds->td", c.data, hs) + d_skip.data[None, :] * x.data
+    nx, ndelta, na, nb, nc, nd = (_node_of(t) for t in (x, delta, a, b, c, d_skip))
+    # with every input taking gradients, every input's array is read
+    xd, dt, ad, bd, cd, skip = x.data, delta.data, a.data, b.data, c.data, d_skip.data
 
     def bw(gy):
-        abar = _decay(delta.data, a.data)  # rebuilt: kept, it would hold [T, C, S] until here
-        gh = np.einsum("td,ts->tds", gy, c.data)  # becomes dL/dh_t in the reverse loop
+        abar = _decay(dt, ad)  # rebuilt: kept, it would hold [T, C, S] until here
+        gh = np.einsum("td,ts->tds", gy, cd)  # becomes dL/dh_t in the reverse loop
         for t in range(seq - 2, -1, -1):
             np.multiply(abar[t + 1], gh[t + 1], out=step)
             gh[t] += step
-        if x.requires_grad or delta.requires_grad:
-            gb = np.einsum("tds,ts->td", gh, b.data)
-        if x.requires_grad:
-            _accum(x, gb * delta.data + gy * d_skip.data[None, :])
-        if b.requires_grad:
-            _accum(b, np.einsum("tds,td->ts", gh, delta.data * x.data))
-        if c.requires_grad:
-            _accum(c, np.einsum("td,tds->ts", gy, hs))
-        if d_skip.requires_grad:
-            _accum(d_skip, np.einsum("td,td->d", gy, x.data))
-        if delta.requires_grad or a.requires_grad:
+        if nx.requires_grad or ndelta.requires_grad:
+            gb = np.einsum("tds,ts->td", gh, bd)
+        if nx.requires_grad:
+            _accum(nx, gb * dt + gy * skip[None, :])
+        if nb.requires_grad:
+            _accum(nb, np.einsum("tds,td->ts", gh, dt * xd))
+        if nc.requires_grad:
+            _accum(nc, np.einsum("td,tds->ts", gy, hs))
+        if nd.requires_grad:
+            _accum(nd, np.einsum("td,td->d", gy, xd))
+        if ndelta.requires_grad or na.requires_grad:
             q = gh[1:]  # gh is spent: q becomes dL/d(delta_t * a) for t >= 1, zero at t = 0
             q *= hs[:-1]
             q *= abar[1:]
-            if delta.requires_grad:
-                dd = gb * x.data
-                dd[1:] += np.einsum("tds,ds->td", q, a.data)
-                _accum(delta, dd)
-            if a.requires_grad:
-                _accum(a, np.einsum("tds,td->ds", q, delta.data[1:]))
+            if ndelta.requires_grad:
+                dd = gb * xd
+                dd[1:] += np.einsum("tds,ds->td", q, ad)
+                _accum(ndelta, dd)
+            if na.requires_grad:
+                _accum(na, np.einsum("tds,td->ds", q, dt[1:]))
     return graph_op(y, (x, delta, a, b, c, d_skip), "scan", bw)
 
 
@@ -151,23 +154,27 @@ def depthwise_conv1d_causal(x, weight, bias):
     acc = xp[..., 0:seq, :] * w[:, 0]
     for j in range(1, k):
         acc = acc + xp[..., j:j + seq, :] * w[:, j]
+    nx, nw, nb = _node_of(x), _node_of(weight), _node_of(bias)
+    padded = xp.shape
+    if not weight.requires_grad:
+        xp = None  # only the taps' gradient reads the padded input
 
     def bw(grad):
-        if x.requires_grad:
-            gp = np.zeros_like(xp)
+        if nx.requires_grad:
+            gp = np.zeros(padded)
             gp[..., :seq, :] = grad
             dx = gp[..., k - 1:k - 1 + seq, :] * w[:, 0]
             for j in range(1, k):
                 dx = dx + gp[..., k - 1 - j:k - 1 - j + seq, :] * w[:, j]
-            _accum(x, dx)
-        if weight.requires_grad:
+            _accum(nx, dx)
+        if nw.requires_grad:
             dw = np.empty((ch, k))
             for j in range(k):
                 dw[:, j] = np.einsum("tc,tc->c", grad.reshape(-1, ch),
                                      xp[..., j:j + seq, :].reshape(-1, ch))
-            _accum(weight, dw)
-        if bias.requires_grad:
-            _accum(bias, grad.reshape(-1, ch).sum(axis=0))
+            _accum(nw, dw)
+        if nb.requires_grad:
+            _accum(nb, grad.reshape(-1, ch).sum(axis=0))
     return graph_op(acc + bias.data, (x, weight, bias), "conv1d", bw)
 
 

@@ -4,30 +4,39 @@ Storage is contiguous row-major numpy float64. ``reshape``, and a
 ``transpose`` or basic slice whose result is contiguous, return views of
 their input's array; the other structural ops copy. This is safe because
 nothing writes into ``.data`` in place while a graph that reads it is alive:
-``Adam.step`` and ``load_checkpoint`` rebind ``.data`` instead. Every
-operation whose inputs participate in gradient tracking records its inputs
-and a local gradient rule on the output; calling ``backward()`` on a scalar
-walks the recorded graph once, in reverse topological order, and accumulates
-``grad`` on every reachable tensor with ``requires_grad``. Gradients of
-broadcast operands are summed over the broadcast axes so ``grad`` always
-matches ``data`` in shape.
+``Adam.step`` and ``load_checkpoint`` rebind ``.data`` instead.
 
-A graph supports exactly one ``backward()``; a second call raises unless
+Handles and nodes. An op returns a handle: a ``Tensor`` that owns its
+``.data``. When gradient mode is on and a parent takes gradients,
+``graph_op`` also gives the handle a graph ``Node``: its ``grad``,
+``requires_grad``, the parents' nodes, the gradient rule, the op tag and the
+shape, but not the data. A leaf (a parameter, an input, a constant) is its
+own node. The handle shows its node's ``grad``, parents, rule and tag; the
+graph links node to node and never to a handle. ``no_grad`` builds no node.
+
+A rule is a closure ``bw(grad)`` that each op defines before its output
+exists and passes to ``graph_op``. It captures its parents' nodes and
+exactly the arrays it reads, computed ones such as a softmax's
+probabilities or a convolution's columns included, and no handle; one cheap
+to rebuild, such as the scan's decay factors, it rebuilds. So a graph holds
+the leaves, the nodes and the arrays some rule reads, and an op output that
+no rule reads is freed as soon as its handle dies. A rule cannot capture its
+own node, and no node references a handle, so a graph has no reference
+cycle and reference counting frees it once its root goes out of scope.
+
+``backward()`` on a scalar walks the root's graph once, in reverse
+topological order, calling each rule with its node's accumulated gradient
+and accumulating ``grad`` on every reachable node with ``requires_grad``.
+Gradients of broadcast operands are summed over the broadcast axes, so a
+``grad`` always matches its node's shape. ``backward()`` drops each interior
+gradient once its rule has run: afterwards only leaves hold ``grad``. A
+graph supports exactly one ``backward()``; a second call raises unless
 ``reset_grads`` was invoked on the root first, which guards against silent
-double accumulation. ``backward()`` drops each interior gradient once its rule
-has run: afterwards only leaves hold ``grad``, and an interior node's is None.
-
-Each op defines its gradient rule, a closure ``bw(grad)``, before its
-output exists and passes it to ``graph_op``, which stores it as the output's
-``_backward`` together with the parents, or not at all. ``backward()`` calls
-it with the output's accumulated gradient. A rule captures its inputs and
-only the computed arrays it reads; one cheap to rebuild from its inputs, such
-as the scan's decay factors, it rebuilds. It cannot capture its own output.
-Edges then point only from outputs to inputs, so a graph has no reference
-cycle and is freed by reference counting as soon as its root goes out of scope.
+double accumulation.
 """
 
 import contextlib
+import weakref
 
 import numpy as np
 
@@ -54,7 +63,8 @@ class no_grad:
 def observe_ops(fn):
     """Call ``fn(op_tag, out_data, parents)`` from ``graph_op`` for every op run
     inside the block, under grad or no_grad; ``parents`` are the op's input
-    tensors. The previous observer comes back on exit, also when the block raises."""
+    handles, with their data. The previous observer comes back on exit, also
+    when the block raises."""
     global _op_observer
     prev = _op_observer
     _op_observer = fn
@@ -90,28 +100,60 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _accum(t, g):
-    if t.grad is None:
-        t.grad = g
+def _accum(node, g):
+    if node.grad is None:
+        node.grad = g
     else:
-        t.grad = t.grad + g
+        node.grad = node.grad + g
+
+
+class Node:
+    """What the graph keeps of an op output: everything but its data."""
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "_op", "shape", "_data")
+
+    def __init__(self, data, parents, op_tag, backward):
+        self.grad = None
+        self.requires_grad = True
+        self._parents = parents
+        self._backward = backward
+        self._op = op_tag
+        self.shape = data.shape
+        self._data = weakref.ref(data)
+
+    @property
+    def data(self):
+        """The output array while its handle or a rule still holds it, else None."""
+        return self._data()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_op", "_backward_ran")
+    __slots__ = ("data", "requires_grad", "_grad", "_node", "_backward_ran")
 
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data, dtype=np.float64)
         self.data = _contig(arr)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
-        self._op = ""
+        self._grad = None
+        self._node = None  # an op output's graph node; a leaf is its own
         self._backward_ran = False
+
+    # a handle shows its node's graph state; a leaf has no parents and no rule
+    @property
+    def grad(self):
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self._node is None:
+            self._grad = g
+        else:
+            self._node.grad = g
+
+    _parents = property(lambda self: () if self._node is None else self._node._parents)
+    _backward = property(lambda self: None if self._node is None else self._node._backward)
+    _op = property(lambda self: "" if self._node is None else self._node._op)
 
     # -- introspection -------------------------------------------------
 
@@ -154,7 +196,7 @@ class Tensor:
                 "call reset_grads(root) before running it again")
         self._backward_ran = True
         order = _toposort(self)
-        self.grad = np.ones_like(self.data)
+        order[0].grad = np.ones_like(self.data)
         for node in order:
             if node._backward is None or node.grad is None:
                 continue
@@ -237,32 +279,36 @@ def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def graph_op(data, parents, op_tag, backward):
-    """Create an op-output tensor with gradient rule ``backward``.
+def _node_of(t):
+    return t._node or t
 
-    Records ``parents``, ``op_tag`` and the rule together, and only when
-    gradient mode is on and at least one parent takes gradients, so pure
-    evaluation builds no graph. The rule receives the output gradient as its
-    argument; it is defined before the output exists and so cannot reference
-    it. Values it needs from the output (``exp``, ``sqrt``) are captured as
-    the computed array instead; values only it needs are computed inside it,
-    so pure evaluation does no work for them.
+
+def graph_op(data, parents, op_tag, backward):
+    """Create the handle of an op output, with gradient rule ``backward``.
+
+    Gives the handle a ``Node`` recording the parents' nodes, ``op_tag`` and
+    the rule, and only when gradient mode is on and at least one parent
+    takes gradients, so pure evaluation builds no graph. The rule receives
+    the output gradient as its argument; it is defined before the output
+    exists and so cannot reference its node. Values it needs from the
+    output (``exp``, ``sqrt``) are captured as the computed array instead;
+    values only it needs are computed inside it, so pure evaluation does no
+    work for them.
     """
     out = Tensor(data)
     if _op_observer is not None:
         _op_observer(op_tag, out.data, parents)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._op = op_tag
-        out._backward = backward
+        out._node = Node(out.data, tuple([p._node or p for p in parents]), op_tag, backward)
     return out
 
 
 def _toposort(root):
+    """The nodes reachable from the handle ``root``, its own node first."""
     order = []
     visited = set()
-    stack = [(root, False)]
+    stack = [(_node_of(root), False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -290,95 +336,108 @@ def reset_grads(root):
 
 def add(a, b):
     a, b = _lift(a), _lift(b)
+    na, nb = _node_of(a), _node_of(b)
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        if na.requires_grad:
+            _accum(na, _unbroadcast(g, na.shape))
+        if nb.requires_grad:
+            _accum(nb, _unbroadcast(g, nb.shape))
     return graph_op(np.add(a.data, b.data), (a, b), "add", bw)
 
 
 def sub(a, b):
     a, b = _lift(a), _lift(b)
+    na, nb = _node_of(a), _node_of(b)
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
+        if na.requires_grad:
+            _accum(na, _unbroadcast(g, na.shape))
+        if nb.requires_grad:
+            _accum(nb, _unbroadcast(-g, nb.shape))
     return graph_op(np.subtract(a.data, b.data), (a, b), "sub", bw)
 
 
 def mul(a, b):
     a, b = _lift(a), _lift(b)
+    na, nb = _node_of(a), _node_of(b)
+    ad = a.data if b.requires_grad else None  # each operand is read by the other's gradient
+    bd = b.data if a.requires_grad else None
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if na.requires_grad:
+            _accum(na, _unbroadcast(g * bd, na.shape))
+        if nb.requires_grad:
+            _accum(nb, _unbroadcast(g * ad, nb.shape))
     return graph_op(np.multiply(a.data, b.data), (a, b), "mul", bw)
 
 
 def div(a, b):
     a, b = _lift(a), _lift(b)
+    na, nb = _node_of(a), _node_of(b)
+    ad, bd = a.data if b.requires_grad else None, b.data
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if na.requires_grad:
+            _accum(na, _unbroadcast(g / bd, na.shape))
+        if nb.requires_grad:
+            _accum(nb, _unbroadcast(-g * ad / (bd * bd), nb.shape))
     return graph_op(np.divide(a.data, b.data), (a, b), "div", bw)
 
 
 def neg(a):
+    na = _node_of(a)
     def bw(grad):
-        _accum(a, -grad)
+        _accum(na, -grad)
     return graph_op(np.negative(a.data), (a,), "neg", bw)
 
 
 def exp(a):
-    y = np.exp(a.data)
+    na, y = _node_of(a), np.exp(a.data)
     def bw(grad):
-        _accum(a, grad * y)
+        _accum(na, grad * y)
     return graph_op(y, (a,), "exp", bw)
 
 
 def sqrt(a):
-    y = np.sqrt(a.data)
+    na, y = _node_of(a), np.sqrt(a.data)
     def bw(grad):
-        _accum(a, grad * 0.5 / y)
+        _accum(na, grad * 0.5 / y)
     return graph_op(y, (a,), "sqrt", bw)
 
 
 def sin(a):
+    na, x = _node_of(a), a.data
     def bw(grad):
-        _accum(a, grad * np.cos(a.data))
-    return graph_op(np.sin(a.data), (a,), "sin", bw)
+        _accum(na, grad * np.cos(x))
+    return graph_op(np.sin(x), (a,), "sin", bw)
 
 
 def abs(a):
     """|x|; the subgradient at 0 is 0."""
+    na, x = _node_of(a), a.data
     def bw(grad):
-        _accum(a, grad * np.sign(a.data))
-    return graph_op(np.abs(a.data), (a,), "abs", bw)
+        _accum(na, grad * np.sign(x))
+    return graph_op(np.abs(x), (a,), "abs", bw)
 
 
 def relu(a):
+    na, x = _node_of(a), a.data
     def bw(grad):
-        _accum(a, grad * (a.data > 0.0))
-    return graph_op(np.maximum(a.data, 0.0), (a,), "relu", bw)
+        _accum(na, grad * (x > 0.0))
+    return graph_op(np.maximum(x, 0.0), (a,), "relu", bw)
 
 
 def silu(a):
     """x * sigmoid(x); smooth gate used by the sequence blocks."""
-    s = _sigmoid(a.data)
+    na, x = _node_of(a), a.data
+    s = _sigmoid(x)
     def bw(grad):
-        _accum(a, grad * (s * (1.0 + a.data * (1.0 - s))))
-    return graph_op(a.data * s, (a,), "silu", bw)
+        _accum(na, grad * (s * (1.0 + x * (1.0 - s))))
+    return graph_op(x * s, (a,), "silu", bw)
 
 
 def softplus(a):
+    na, x = _node_of(a), a.data
     def bw(grad):
-        _accum(a, grad * _sigmoid(a.data))
-    return graph_op(np.logaddexp(0.0, a.data), (a,), "softplus", bw)
+        _accum(na, grad * _sigmoid(x))
+    return graph_op(np.logaddexp(0.0, x), (a,), "softplus", bw)
 
 
 # -- matrix products ---------------------------------------------------------
@@ -390,11 +449,14 @@ def matmul(a, b):
             or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul expects [...,p,q]@[...,q,r] with matching leading dims, "
                          f"got {a.shape} and {b.shape}")
+    na, nb = _node_of(a), _node_of(b)
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if na.requires_grad:
+            _accum(na, _unbroadcast(g @ bd.swapaxes(-1, -2), na.shape))
+        if nb.requires_grad:
+            _accum(nb, _unbroadcast(ad.swapaxes(-1, -2) @ g, nb.shape))
     return graph_op(a.data @ b.data, (a, b), "matmul", bw)
 
 
@@ -424,31 +486,34 @@ def _keepdims_shape(shape, axes):
 def reduce_sum(t, axis=None, keepdims=False):
     axes = _norm_axes(axis, t.ndim)
     _check_nonempty(t, axes)
+    nt = _node_of(t)
     def bw(grad):
-        g = grad.reshape(_keepdims_shape(t.data.shape, axes))
-        _accum(t, np.broadcast_to(g, t.data.shape).copy())
-    return graph_op(t.data.sum(axis=axes if axes else None, keepdims=keepdims),
+        g = grad.reshape(_keepdims_shape(nt.shape, axes))
+        _accum(nt, np.broadcast_to(g, nt.shape).copy())
+    return graph_op(t.data.sum(axis=None if axis is None else axes, keepdims=keepdims),
                     (t,), "sum", bw)
 
 
 def reduce_mean(t, axis=None, keepdims=False):
     axes = _norm_axes(axis, t.ndim)
     _check_nonempty(t, axes)
+    nt = _node_of(t)
     def bw(grad):
         count = 1
         for ax in axes:
-            count *= t.data.shape[ax]
-        g = grad.reshape(_keepdims_shape(t.data.shape, axes)) / count
-        _accum(t, np.broadcast_to(g, t.data.shape).copy())
-    return graph_op(t.data.mean(axis=axes if axes else None, keepdims=keepdims),
+            count *= nt.shape[ax]
+        g = grad.reshape(_keepdims_shape(nt.shape, axes)) / count
+        _accum(nt, np.broadcast_to(g, nt.shape).copy())
+    return graph_op(t.data.mean(axis=None if axis is None else axes, keepdims=keepdims),
                     (t,), "mean", bw)
 
 
 # -- movement -----------------------------------------------------------------
 
 def reshape(t, shape):
+    nt = _node_of(t)
     def bw(grad):
-        _accum(t, grad.reshape(t.data.shape))
+        _accum(nt, grad.reshape(nt.shape))
     return graph_op(_contig(t.data.reshape(shape)), (t,), "reshape", bw)
 
 
@@ -456,14 +521,16 @@ def transpose(t, axes=None):
     if axes is None:
         axes = tuple(reversed(range(t.ndim)))
     axes = tuple(a % t.ndim for a in axes)
+    nt = _node_of(t)
     def bw(grad):
-        _accum(t, _contig(np.transpose(grad, np.argsort(axes))))
+        _accum(nt, _contig(np.transpose(grad, np.argsort(axes))))
     return graph_op(_contig(np.transpose(t.data, axes)), (t,), "transpose", bw)
 
 
 def getitem(t, key):
+    nt = _node_of(t)
     def bw(grad):
-        buf = np.zeros_like(t.data)
+        buf = np.zeros(nt.shape)
         # a key of ints and slices selects each element at most once, so its
         # gradient is assigned; fancy keys may repeat elements and accumulate
         if all(isinstance(k, (int, np.integer, slice)) or k is Ellipsis
@@ -471,20 +538,21 @@ def getitem(t, key):
             buf[key] = grad
         else:
             np.add.at(buf, key, grad)
-        _accum(t, buf)
+        _accum(nt, buf)
     return graph_op(_contig(t.data[key]), (t,), "getitem", bw)
 
 
 def concat(tensors, axis=0):
     tensors = [_lift(t) for t in tensors]
+    nodes = [_node_of(t) for t in tensors]
     def bw(grad):
         offset = 0
-        for t in tensors:
-            n = t.data.shape[axis]
-            if t.requires_grad:
+        for node in nodes:
+            n = node.shape[axis]
+            if node.requires_grad:
                 sl = [slice(None)] * grad.ndim
                 sl[axis] = slice(offset, offset + n)
-                _accum(t, _contig(grad[tuple(sl)]))
+                _accum(node, _contig(grad[tuple(sl)]))
             offset += n
     return graph_op(np.concatenate([t.data for t in tensors], axis=axis),
                     tuple(tensors), "concat", bw)
@@ -492,9 +560,10 @@ def concat(tensors, axis=0):
 
 def stack(tensors, axis=0):
     tensors = [_lift(t) for t in tensors]
+    nodes = [_node_of(t) for t in tensors]
     def bw(grad):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                _accum(t, _contig(np.take(grad, i, axis=axis)))
+        for i, node in enumerate(nodes):
+            if node.requires_grad:
+                _accum(node, _contig(np.take(grad, i, axis=axis)))
     return graph_op(np.stack([t.data for t in tensors], axis=axis),
                     tuple(tensors), "stack", bw)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import re
 import tracemalloc
@@ -378,3 +379,81 @@ def test_fd_check_refuses_a_leaf_the_function_does_not_reach():
 def test_rel_error_floor():
     assert rel_error(np.array([1e-10]), np.array([0.0])) <= 1e-6
     assert rel_error(np.array([1.0]), np.array([1.0 + 1e-5])) > 1e-6
+
+
+@pytest.mark.parametrize("reduce", ["sum", "mean"])
+def test_reducing_over_no_axis_returns_the_input_with_an_identity_gradient(reduce):
+    # numpy reduces no axis for an empty tuple, and so must the engine
+    rng = np.random.default_rng(43)
+    x = T.Tensor(rng.uniform(-2, 2, (2, 3)), requires_grad=True)
+    for keepdims in (False, True):
+        got = getattr(x, reduce)(axis=(), keepdims=keepdims)
+        assert np.array_equal(got.data, getattr(x.data, reduce)(axis=(), keepdims=keepdims))
+        assert got.shape == (2, 3)
+    w = T.Tensor(rng.uniform(-1, 1, (2, 3)))
+    (getattr(x, reduce)(axis=()) * w).sum().backward()
+    npt.assert_array_equal(x.grad, w.data)
+    assert fd_check(lambda: (getattr(x, reduce)(axis=()) * w).sum(), [x]) <= 1e-6
+
+
+def test_an_op_output_no_rule_reads_dies_with_its_handle():
+    x = T.Tensor([0.5, -1.5, 2.0], requires_grad=True)
+    h = x * 2.0
+    unread = h.sum()  # sum's rule reads no array
+    read = h.relu().sum()  # relu's rule reads its input
+    node = h._node
+    assert node.data is h.data and node.shape == (3,)
+    del h
+    assert node.data is not None  # relu's rule still holds it
+    del read
+    assert node.data is None
+    unread.backward()
+    npt.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def _handles_in(obj):
+    """Tensors in ``obj``, or in the lists and tuples it holds, that are not their own node."""
+    if isinstance(obj, T.Tensor):
+        return [obj] if obj._node is not None else []
+    if isinstance(obj, (list, tuple)):
+        return [t for item in obj for t in _handles_in(item)]
+    return []
+
+
+def test_a_toy_batch_graph_holds_no_array_in_a_node_and_no_handle_in_a_rule():
+    net = BimanualHandNet(PipelineConfig.toy(seed=0))
+    root = _toy_batch_loss(net, tr.synth_dataset(net.config, net.rig, 2, seed=3))
+    nodes = T._toposort(root)
+    interior = [n for n in nodes if isinstance(n, T.Node)]
+    assert len(interior) == len([n for n in nodes if n._parents]) > 400
+    arrays = [n._op for n in interior
+              if any(isinstance(r, np.ndarray) for r in gc.get_referents(n))]
+    assert arrays == []
+    holding = [n._op for n in interior
+               for cell in n._backward.__closure__ or () if _handles_in(cell.cell_contents)]
+    assert holding == []
+    assert all(isinstance(p, T.Node) or p._node is None for n in nodes for p in n._parents)
+
+
+def test_forward_and_loss_of_a_128px_sample_retain_at_most_16_5_mb():
+    # an op output no rule reads is freed with its handle: conv2d outputs,
+    # attention logits, relu outputs that the next conv reads as columns
+    net = BimanualHandNet(PipelineConfig.toy(seed=0, image_h=128, image_w=128))
+    samples = tr.synth_dataset(net.config, net.rig, 1, seed=3)
+    _, held, _ = _traced(lambda: _toy_batch_loss(net, samples))
+    assert held <= 16.5e6, held
+
+
+def test_output_and_aux_handles_keep_their_data_after_a_grad_forward():
+    net = BimanualHandNet(PipelineConfig.toy(seed=0))
+    sample = tr.synth_dataset(net.config, net.rig, 1, seed=3)[0]
+    out = net.forward(T.Tensor(sample.image))
+    handles = [getattr(out, f.name) for f in dataclasses.fields(out) if f.name != "aux"]
+    for f in dataclasses.fields(out.aux):
+        value = getattr(out.aux, f.name)
+        handles += ([getattr(value, g.name) for g in dataclasses.fields(value)]
+                    if dataclasses.is_dataclass(value) else [value])
+    assert len(handles) == 22
+    for t in handles:
+        assert isinstance(t.data, np.ndarray) and t._node is not None
+        assert t._node.data is t.data
