@@ -36,7 +36,6 @@ double accumulation.
 """
 
 import contextlib
-import weakref
 
 import numpy as np
 
@@ -109,21 +108,15 @@ def _accum(node, g):
 
 class Node:
     """What the graph keeps of an op output: everything but its data."""
-    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "_op", "shape", "_data")
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "_op", "shape")
 
-    def __init__(self, data, parents, op_tag, backward):
+    def __init__(self, shape, parents, op_tag, backward):
         self.grad = None
         self.requires_grad = True
         self._parents = parents
         self._backward = backward
         self._op = op_tag
-        self.shape = data.shape
-        self._data = weakref.ref(data)
-
-    @property
-    def data(self):
-        """The output array while its handle or a rule still holds it, else None."""
-        return self._data()
+        self.shape = shape
 
 
 class Tensor:
@@ -300,7 +293,7 @@ def graph_op(data, parents, op_tag, backward):
         _op_observer(op_tag, out.data, parents)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._node = Node(out.data, tuple([p._node or p for p in parents]), op_tag, backward)
+        out._node = Node(out.data.shape, tuple([p._node or p for p in parents]), op_tag, backward)
     return out
 
 

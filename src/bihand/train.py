@@ -210,24 +210,12 @@ class Adam:
         for i, (name, p) in enumerate(self.named_params):
             if p.grad is None:
                 raise RuntimeError(f"adam step requires a gradient for {name!r}")
-            # the moments update in place and the step is built in two buffers,
-            # with the bits of the textbook expressions; p.data is rebound to the
-            # step's buffer, since a graph may still read the old array
-            g, m, v = p.grad, self.m[i], self.v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            g2 = g * g
-            g2 *= 1.0 - self.beta2
-            v *= self.beta2
-            v += g2
-            step, den = np.empty_like(m), np.empty_like(v)
-            np.divide(m, b1t, out=step)
-            step *= self.lr
-            np.divide(v, b2t, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            step /= den
-            p.data = np.subtract(p.data, step, out=step)
+            g = p.grad
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / b1t
+            v_hat = self.v[i] / b2t
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self):
         for _, p in self.named_params:

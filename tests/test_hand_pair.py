@@ -198,13 +198,18 @@ def test_toy_forward_and_loss_keep_the_pair_under_the_tighter_budget():
 
 def test_every_training_op_but_the_joint_regression_reaches_the_loss():
     net, sample = _toy_training_sample()
-    ran = []  # keeps each output array alive, so its id names one node
+    ran = []  # keeps each output array alive, so its id names one leaf
     with observe_ops(lambda tag, out, parents: ran.append((tag, out))):
         total = tr.loss(net.forward(Tensor(sample.image)), sample)
-    reached = {id(node.data) for node in _toposort(total)}
-    unreached = [(tag, out.shape) for tag, out in ran if id(out) not in reached]
+    nodes = _toposort(total)
+    # an op on constants is reached as a leaf that holds its output array; one
+    # that takes gradients as a node, which keeps its tag and shape but no array
+    leaves = {id(node.data) for node in nodes if not node._parents}
+    ops = collections.Counter((tag, out.shape) for tag, out in ran if id(out) not in leaves)
+    reached = collections.Counter((node._op, node.shape) for node in nodes if node._parents)
+    assert sum(ops.values()) == sum(reached.values()) + 1
     # lbs regresses the joints off the posed mesh; the loss supervises the mesh itself
-    assert unreached == [("matmul", (2, 21, 3))]
+    assert list((ops - reached).elements()) == [("matmul", (2, 21, 3))]
 
 
 def test_per_hand_output_views_are_read_only_slices_of_the_pair():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -401,12 +402,12 @@ def test_an_op_output_no_rule_reads_dies_with_its_handle():
     h = x * 2.0
     unread = h.sum()  # sum's rule reads no array
     read = h.relu().sum()  # relu's rule reads its input
-    node = h._node
-    assert node.data is h.data and node.shape == (3,)
+    data = weakref.ref(h.data)
+    assert h._node.shape == (3,)
     del h
-    assert node.data is not None  # relu's rule still holds it
+    assert data() is not None  # relu's rule still holds it
     del read
-    assert node.data is None
+    assert data() is None
     unread.backward()
     npt.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
@@ -456,4 +457,4 @@ def test_output_and_aux_handles_keep_their_data_after_a_grad_forward():
     assert len(handles) == 22
     for t in handles:
         assert isinstance(t.data, np.ndarray) and t._node is not None
-        assert t._node.data is t.data
+        assert t._node.shape == t.shape

@@ -498,22 +498,3 @@ def test_metrics_csv_schema(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(tr.METRICS_HEADER)
     assert lines[1].startswith("train,")
-
-
-def test_adam_step_has_the_bits_of_the_textbook_expressions():
-    rng = np.random.default_rng(29)
-    params = [Tensor(rng.normal(0, 1, shape), requires_grad=True) for shape in ((3, 4), (5,), ())]
-    ref = [p.data.copy() for p in params]
-    m, v = [np.zeros_like(r) for r in ref], [np.zeros_like(r) for r in ref]
-    opt = tr.Adam([(str(i), p) for i, p in enumerate(params)], lr=0.01)
-    for t in range(1, 4):
-        grads = [rng.normal(0, 1, r.shape) for r in ref]
-        for i, g in enumerate(grads):
-            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
-            v[i] = 0.999 * v[i] + (1.0 - 0.999) * (g * g)
-            m_hat, v_hat = m[i] / (1.0 - 0.9 ** t), v[i] / (1.0 - 0.999 ** t)
-            ref[i] = ref[i] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
-            params[i].grad = g
-        opt.step()
-        for p, r in zip(params, ref):
-            assert isinstance(p.data, np.ndarray) and p.data.tobytes() == np.asarray(r).tobytes()
