@@ -1,5 +1,5 @@
-"""Neural layers: convolution, layer norm, MLP, softmax, bilinear sampling,
-and the cross-hand non-local attention block.
+"""Neural layers: convolution, layer norm, MLP, softmax, attention, bilinear
+sampling, and the cross-hand non-local attention block.
 
 Feature maps are [channels, height, width] tensors. Layers are immutable
 parameter holders after construction; ``Module.params()`` yields (name,
@@ -9,7 +9,7 @@ counter see identical registries.
 
 import numpy as np
 
-from .tensor import Tensor, graph_op, matmul, reshape, transpose, _accum, _node_of
+from .tensor import Tensor, graph_op, reshape, _accum, _contig, _node_of
 
 
 class Module:
@@ -232,6 +232,13 @@ class MlpLayer(Module):
         return self.fc2(self.fc1(x).relu())
 
 
+def _softmax(x, axis):
+    """The probabilities along ``axis``, and their rule g -> p * (g - sum(g * p))."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    p = e / e.sum(axis=axis, keepdims=True)
+    return p, lambda g: p * (g - (g * p).sum(axis=axis, keepdims=True))
+
+
 def softmax(x, axis=-1):
     """exp-normalize along ``axis`` with max subtraction for stability, as one
     graph node; the backward rule is p * (g - sum(g * p)).
@@ -239,13 +246,31 @@ def softmax(x, axis=-1):
     The shift is a constant; softmax is shift invariant so the gradient is
     unchanged.
     """
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    p = e / e.sum(axis=axis, keepdims=True)
+    p, dsoftmax = _softmax(x.data, axis)
     nx = _node_of(x)
 
     def bw(grad):
-        _accum(nx, p * (grad - (grad * p).sum(axis=axis, keepdims=True)))
+        _accum(nx, dsoftmax(grad))
     return graph_op(p, (x,), "softmax", bw)
+
+
+def attention(q, k, v):
+    """v[e,n] @ softmax(q[d,n].T @ k[d,n], axis=1).T as one graph node. Its rule
+    keeps q.T, k, v and the probabilities p, and rebuilds p.T as the forward
+    made it, so each product rounds as the transpose, matmul and softmax ops do;
+    the parents (q, v, k) replay those ops' order of accumulation into a map."""
+    qt, kd, vd = _contig(q.data.T), k.data, v.data
+    p, dsoftmax = _softmax(qt @ kd, axis=1)  # [n, n], rows sum to 1
+    nq, nk, nv = _node_of(q), _node_of(k), _node_of(v)
+    def bw(g):
+        if nv.requires_grad:
+            _accum(nv, g @ _contig(p.T).T)
+        dlogits = dsoftmax(_contig((vd.T @ g).T))
+        if nq.requires_grad:
+            _accum(nq, _contig((dlogits @ kd.T).T))
+        if nk.requires_grad:
+            _accum(nk, qt.T @ dlogits)
+    return graph_op(vd @ _contig(p.T), (q, v, k), "attention", bw)
 
 
 def grid_sample(f, points):
@@ -324,6 +349,4 @@ class NonLocalBlock(Module):
         q = reshape(self.theta(x), (self.inner, n))
         k = reshape(self.phi(context), (self.inner, n))
         v = reshape(self.g(context), (self.inner, n))
-        attn = softmax(matmul(transpose(q), k), axis=1)  # [n, n], rows sum to 1
-        y = matmul(v, transpose(attn))                   # [inner, n]
-        return self.z(reshape(y, (self.inner, h, w))) + x
+        return self.z(reshape(attention(q, k, v), (self.inner, h, w))) + x

@@ -15,10 +15,10 @@ own node. The handle shows its node's ``grad``, parents, rule and tag; the
 graph links node to node and never to a handle. ``no_grad`` builds no node.
 
 A rule is a closure ``bw(grad)`` that each op defines before its output
-exists and passes to ``graph_op``. It captures its parents' nodes and
-exactly the arrays it reads, computed ones such as a softmax's
-probabilities or a convolution's columns included, and no handle; one cheap
-to rebuild, such as the scan's decay factors, it rebuilds. So a graph holds
+exists and passes to ``graph_op``. It captures its parents' nodes, no
+handle, and the arrays it reads (a softmax's probabilities, a convolution's
+columns) or an exact smaller stand-in (``relu``'s mask, ``silu``'s derivative);
+one cheap to rebuild (the scan's decay factors) it rebuilds. So a graph holds
 the leaves, the nodes and the arrays some rule reads, and an op output that
 no rule reads is freed as soon as its handle dies. A rule cannot capture its
 own node, and no node references a handle, so a graph has no reference
@@ -285,16 +285,20 @@ def graph_op(data, parents, op_tag, backward):
     the output gradient as its argument; it is defined before the output
     exists and so cannot reference its node. Values it needs from the
     output (``exp``, ``sqrt``) are captured as the computed array instead;
-    values only it needs are computed inside it, so pure evaluation does no
-    work for them.
+    values only it needs are computed inside it, or before it only when
+    ``_recording``, so pure evaluation does no work for them.
     """
     out = Tensor(data)
     if _op_observer is not None:
         _op_observer(op_tag, out.data, parents)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._node = Node(out.data.shape, tuple([p._node or p for p in parents]), op_tag, backward)
     return out
+
+
+def _recording(parents):  # whether graph_op gives an op over parents a node
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _toposort(root):
@@ -412,8 +416,9 @@ def abs(a):
 
 def relu(a):
     na, x = _node_of(a), a.data
+    positive = x > 0.0 if _recording((a,)) else None
     def bw(grad):
-        _accum(na, grad * (x > 0.0))
+        _accum(na, grad * positive)
     return graph_op(np.maximum(x, 0.0), (a,), "relu", bw)
 
 
@@ -421,8 +426,9 @@ def silu(a):
     """x * sigmoid(x); smooth gate used by the sequence blocks."""
     na, x = _node_of(a), a.data
     s = _sigmoid(x)
+    ds = s * (1.0 + x * (1.0 - s)) if _recording((a,)) else None
     def bw(grad):
-        _accum(na, grad * (s * (1.0 + x * (1.0 - s))))
+        _accum(na, grad * ds)
     return graph_op(x * s, (a,), "silu", bw)
 
 

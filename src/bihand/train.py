@@ -450,6 +450,7 @@ FLOP_RULES = {
     **dict.fromkeys(("sum", "mean"), lambda out, args: args[0].size),
     "layernorm": lambda out, args: 8 * out.size,
     "softmax": lambda out, args: 5 * out.size,
+    "attention": lambda out, args: (2 * len(args[0]) + 2 * len(out) + 5) * out.shape[1] ** 2,
     "grid_sample": lambda out, args: 8 * out.size,  # four taps, a multiply-add each
     "linear": lambda out, args: 2 * out.size * args[1].shape[0] + out.size,
     "conv2d": lambda out, args: 2 * out.size * args[1][0].size + out.size,

@@ -12,14 +12,19 @@ differ in the last places).
 ``conv2d_captured_oracle`` and ``scan_captured_oracle`` are the convolution
 and scan kernels as they were when their rules kept the padded input and the
 decay factors alive from the forward. The kernels now rebuild those arrays in
-the backward, and must give the same gradient bits.
+the backward, and must give the same gradient bits. So must ``nn.attention``
+against ``attention_composite_oracle``, the transpose, matmul and softmax
+nodes it replaced, whose rules kept a transposed copy of the probabilities.
 """
 
 import numpy as np
 import pytest
 
 from bihand import nn, ssm
-from bihand.tensor import Tensor, _accum, _sigmoid, concat, graph_op, matmul, reshape
+from bihand import train as tr
+from bihand.pipeline import BimanualHandNet, PipelineConfig
+from bihand.tensor import (Tensor, _accum, _sigmoid, concat, graph_op, matmul, relu, reshape,
+                           silu, transpose)
 
 
 def layer_norm_oracle(x, gamma, beta, axes, eps):
@@ -216,6 +221,20 @@ def scan_captured_oracle(coeffs, x):
     return graph_op(y, (x, delta, a, b, c, d_skip), "scan", bw)
 
 
+def attention_composite_oracle(q, k, v):
+    attn = nn.softmax(matmul(transpose(q), k), axis=1)
+    return matmul(v, transpose(attn))
+
+
+def composite_non_local(block, x, context):
+    """``NonLocalBlock.__call__`` running ``attention_composite_oracle``."""
+    c, h, w = x.shape
+    q, k, v = (reshape(conv(m), (block.inner, h * w))
+               for conv, m in ((block.theta, x), (block.phi, context), (block.g, context)))
+    y = attention_composite_oracle(q, k, v)
+    return block.z(reshape(y, (block.inner, h, w))) + x
+
+
 def masked_sigmoid_oracle(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -281,6 +300,14 @@ def _scan_case(seq, ch, state, x_grad=True, coeff_grad=True, oracle=scan_loop_or
     return build
 
 
+def _attention_case(inner, n):
+    def build(rng):
+        q, k, v = (_leaf(rng, (inner, n)) for _ in range(3))
+        return (lambda: nn.attention(q, k, v),
+                lambda: attention_composite_oracle(q, k, v), [q, k, v])
+    return build
+
+
 def _conv2d_case(cin, cout, k, stride, padding, size, oracle=conv2d_im2col_oracle):
     def build(rng):
         x, b = _leaf(rng, (cin, size, size)), _leaf(rng, cout, -1, 1)
@@ -315,6 +342,8 @@ CAPTURED_CASES = {
     "conv2d_padded_strided": _conv2d_case(3, 4, 3, 2, 1, 7, conv2d_captured_oracle),
     "conv2d_pointwise": _conv2d_case(4, 5, 1, 1, 0, 6, conv2d_captured_oracle),
     "scan_64x64x8": _scan_case(64, 64, 8, oracle=scan_captured_oracle),
+    **{f"attention_{inner}x{n}": _attention_case(inner, n)
+       for inner, n in ((8, 64), (8, 256), (3, 5), (1, 1))},
 }
 
 
@@ -354,3 +383,31 @@ def test_rebuilt_arrays_give_the_captured_rules_gradient_bits(name):
     probe = Tensor(rng.uniform(-1, 1, want.shape))
     for g, w in zip(_grads(kernel, leaves, probe), _grads(oracle, leaves, probe)):
         assert np.array_equal(g, w)
+
+
+def test_a_toy_batch_step_has_the_bits_of_the_composite_attention(monkeypatch):
+    # the zero-initialized output projection would give q, k and v zero
+    # gradients, and then no order of accumulating them could show
+    net = BimanualHandNet(PipelineConfig.toy(seed=0))
+    z = net.interaction.attn_l.z.weight
+    z.data = np.random.default_rng(5).uniform(-0.5, 0.5, z.shape)
+    samples = tr.synth_dataset(net.config, net.rig, 8, seed=3)
+
+    def step():
+        for _, t in net.params():
+            t.zero_grad()
+        root = tr.batch_loss(net, samples)[0]
+        root.backward()
+        return [root.data] + [t.grad for _, t in net.params()]
+    got = step()
+    monkeypatch.setattr(nn.NonLocalBlock, "__call__", composite_non_local)
+    want = step()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("op,dtype", [(relu, np.bool_), (silu, np.float64)])
+def test_relu_keeps_only_a_mask_and_silu_only_its_derivative(op, dtype):
+    x = _leaf(np.random.default_rng(7), (3, 4))
+    cells = op(x)._backward.__closure__
+    arrays = [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+    assert [(a.dtype, a.shape) for a in arrays] == [(dtype, x.shape)]

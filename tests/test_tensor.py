@@ -401,11 +401,11 @@ def test_an_op_output_no_rule_reads_dies_with_its_handle():
     x = T.Tensor([0.5, -1.5, 2.0], requires_grad=True)
     h = x * 2.0
     unread = h.sum()  # sum's rule reads no array
-    read = h.relu().sum()  # relu's rule reads its input
+    read = h.sin().sum()  # sin's rule reads its input
     data = weakref.ref(h.data)
     assert h._node.shape == (3,)
     del h
-    assert data() is not None  # relu's rule still holds it
+    assert data() is not None  # sin's rule still holds it
     del read
     assert data() is None
     unread.backward()
@@ -443,6 +443,21 @@ def test_forward_and_loss_of_a_128px_sample_retain_at_most_16_5_mb():
     samples = tr.synth_dataset(net.config, net.rig, 1, seed=3)
     _, held, _ = _traced(lambda: _toy_batch_loss(net, samples))
     assert held <= 16.5e6, held
+
+
+def test_forward_and_loss_of_a_toy_batch_of_8_retain_at_most_28_5_mb():
+    # relu keeps a bool mask, silu its derivative, attention its probabilities once
+    net = BimanualHandNet(PipelineConfig.toy(seed=0))
+    samples = tr.synth_dataset(net.config, net.rig, 8, seed=3)
+    _, held, _ = _traced(lambda: _toy_batch_loss(net, samples))
+    assert held <= 28.5e6, held
+
+
+def test_forward_and_loss_of_a_128px_batch_of_4_retain_at_most_50_mb():
+    net = BimanualHandNet(PipelineConfig.toy(seed=0, image_h=128, image_w=128))
+    samples = tr.synth_dataset(net.config, net.rig, 4, seed=3)
+    _, held, _ = _traced(lambda: _toy_batch_loss(net, samples))
+    assert held <= 50e6, held
 
 
 def test_output_and_aux_handles_keep_their_data_after_a_grad_forward():
