@@ -228,7 +228,7 @@ def attention_composite_oracle(q, k, v):
 
 def composite_non_local(block, x, context):
     """``NonLocalBlock.__call__`` running ``attention_composite_oracle``."""
-    c, h, w = x.shape
+    _, h, w = x.shape
     q, k, v = (reshape(conv(m), (block.inner, h * w))
                for conv, m in ((block.theta, x), (block.phi, context), (block.g, context)))
     y = attention_composite_oracle(q, k, v)
