@@ -181,7 +181,9 @@ def _check_conv2d(rng):
     layer = Conv2dLayer(2, 3, 3, stride=2, padding=1, rng=rng)
     x = Tensor(rng.uniform(-2, 2, (2, 5, 5)), requires_grad=True)
     point = Conv2dLayer(2, 3, 1, rng=rng)  # 1x1: im2col is a view of x
-    return max(_probed(rng, lambda: m(x), [x, m.weight, m.bias]) for m in (layer, point))
+    worst = max(_probed(rng, lambda: m(x), [x, m.weight, m.bias]) for m in (layer, point))
+    bare = Conv2dLayer(2, 3, 3, stride=2, padding=1, rng=rng, bias=False)
+    return max(worst, _probed(rng, lambda: bare(x), [x, bare.weight]))
 
 
 @_gradcheck("conv1d", 83)

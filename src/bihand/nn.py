@@ -20,7 +20,7 @@ class Module:
     as ``x``; a Module attribute ``m`` contributes its own records as
     ``m.<name>``; element i of a list attribute such as ``blocks`` is named
     ``block{i}`` (the trailing "s" dropped). Every other attribute (ints,
-    arrays, configs, the rig) is skipped.
+    arrays, configs, the rig, None) is skipped.
     """
 
     def params(self):
@@ -83,7 +83,7 @@ def linear(x, weight, bias):
 
 
 def conv2d_raw(x, weight, bias, stride=1, padding=0):
-    """Cross-correlation of x[cin,h,w] with weight[cout,cin,kh,kw] plus bias.
+    """Cross-correlation of x[cin,h,w] with weight[cout,cin,kh,kw] plus bias, unless None.
 
     im2col inside a single graph node; the backward rule is the standard
     col2im scatter. Output spatial size is floor((in + 2*pad - k)/stride) + 1.
@@ -110,14 +110,17 @@ def conv2d_raw(x, weight, bias, stride=1, padding=0):
             win[:, ::s, ::s].transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, oh * ow)
     w2 = weight.data.reshape(cout, cin * kh * kw)
     out_data = w2 @ cols
-    out_data += bias.data[:, None]
-    nx, nw, nb = _node_of(x), _node_of(weight), _node_of(bias)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if bias is not None:
+        out_data += bias.data[:, None]
+    nx, nw = _node_of(x), _node_of(weight)
+    nb = None if bias is None else _node_of(bias)
     if not weight.requires_grad:
         cols = None  # only the weight's gradient reads the columns
 
     def bw(grad):
         g2 = grad.reshape(cout, oh * ow)
-        if nb.requires_grad:
+        if nb is not None and nb.requires_grad:
             _accum(nb, g2.sum(axis=1))
         if nw.requires_grad:
             _accum(nw, (g2 @ cols.T).reshape(nw.shape))
@@ -130,17 +133,17 @@ def conv2d_raw(x, weight, bias, stride=1, padding=0):
                 for j in range(kw):
                     dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]
             _accum(nx, dxp[:, p:p + h, p:p + w] if p else dxp)
-    return graph_op(out_data.reshape(cout, oh, ow), (x, weight, bias), "conv2d", bw)
+    return graph_op(out_data.reshape(cout, oh, ow), parents, "conv2d", bw)
 
 
 class Conv2dLayer(Module):
     def __init__(self, in_channels, out_channels, kernel_size, stride=1, padding=0,
-                 rng=None, zero_init=False):
+                 rng=None, zero_init=False, bias=True):
         k = kernel_size
         w = init_weight(rng, (out_channels, in_channels, k, k), in_channels * k * k,
                         zero_init)
         self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
         self.stride = stride
         self.padding = padding
 
@@ -337,7 +340,8 @@ class NonLocalBlock(Module):
         inner = max(1, channels // 2)
         self.inner = inner
         self.theta = Conv2dLayer(channels, inner, 1, rng=rng)
-        self.phi = Conv2dLayer(channels, inner, 1, rng=rng)
+        # a key bias adds q_i.b to every logit of query row i: softmax cancels it
+        self.phi = Conv2dLayer(channels, inner, 1, rng=rng, bias=False)
         self.g = Conv2dLayer(channels, inner, 1, rng=rng)
         self.z = Conv2dLayer(inner, channels, 1, rng=rng, zero_init=zero_init_out)
 

@@ -1,8 +1,8 @@
 """Full two-hand reconstruction network.
 
-Stages: a small strided CNN produces per-hand feature maps; a stack of
-selective-scan sequence blocks transforms the concatenated maps and a
-cross-hand non-local module extracts interaction features; per-joint
+Stages: a small strided CNN produces the hand pair's feature map; a stack
+of selective-scan sequence blocks transforms it and a cross-hand non-local
+module extracts interaction features from its two halves; per-joint
 spatial plus depth-bin heatmaps are decoded with soft-argmax into
 continuous 2.5D joint coordinates; features sampled at those coordinates
 are refined by a second sequence-block stack; and dense heads regress
@@ -10,14 +10,16 @@ axis-angle pose, shape coefficients, and the relative translation between
 the hands, which drive the differentiable hand rig.
 
 Checkpoints are a flat binary container of named float64 parameter records
-(magic "VMBH"); saving, loading and re-saving is byte-identical. Configs
-are plain JSON mirroring ``PipelineConfig``; unknown keys are rejected.
+(magic "VMBH") closed by a CRC-32 of its bytes; saving, loading and
+re-saving is byte-identical. Configs are plain JSON mirroring
+``PipelineConfig``; unknown keys are rejected.
 """
 
 import dataclasses
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,7 @@ from .ssm import VmBlockLayer, featuremap_to_sequence, sequence_to_featuremap
 from .tensor import Tensor, concat, reshape, stack
 
 CHECKPOINT_MAGIC = b"VMBH"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 THETA_SHAPE = (handmodel.NUM_JOINTS, 3)
 BETA_DIM = handmodel.NUM_SHAPES
@@ -39,7 +41,7 @@ BETA_DIM = handmodel.NUM_SHAPES
 class PipelineConfig:
     image_h: int = 64
     image_w: int = 64
-    backbone_channels: int = 64   # C; per-hand maps carry C // 4 channels
+    backbone_channels: int = 64   # C; each hand's half of the pair map has C // 4 channels
     backbone_stages: int = 3      # stride-2 stages; spatial divisor is 2**stages
     joints: int = 21
     depth_bins: int = 16
@@ -143,8 +145,7 @@ class JointCoords:
 class PipelineIntermediates:
     """Every intermediate the stages exchange, for inspection and tests; a
     batch's fields carry a leading B axis."""
-    f_l: Tensor = None              # [c, h, w] backbone branch maps
-    f_r: Tensor = None
+    f: Tensor = None                # [2c, h, w] backbone map; f_l, f_r: read-only halves
     enh_l: Tensor = None            # [c, h, w] after the sequence blocks
     enh_r: Tensor = None
     inter_l: Tensor = None          # [c, h, w] cross-hand attention
@@ -156,6 +157,8 @@ class PipelineIntermediates:
     coords: JointCoords = None      # [2, J, ...] both hands' decoded joints
     joint_feats: Tensor = None      # [2, J, c] sampled at the decoded joints
     refined_feats: Tensor = None    # [2, J, c] after the joint refiner
+    f_l = property(lambda aux: aux.f[..., :aux.f.shape[-3] // 2, :, :])
+    f_r = property(lambda aux: aux.f[..., aux.f.shape[-3] // 2:, :, :])
 
 
 @dataclass
@@ -185,7 +188,8 @@ for _name in ("theta", "beta", "joints_uvd", "joints_mm", "vertices"):
 
 class _ConvNormRelu(Module):
     def __init__(self, cin, cout, kernel, stride, padding, rng):
-        self.conv = Conv2dLayer(cin, cout, kernel, stride=stride, padding=padding, rng=rng)
+        # the norm subtracts each channel's spatial mean, and a conv bias with it
+        self.conv = Conv2dLayer(cin, cout, kernel, stride, padding, rng, bias=False)
         self.norm = LayerNormLayer(cout, axes=(1, 2))
 
     def __call__(self, x):
@@ -193,7 +197,7 @@ class _ConvNormRelu(Module):
 
 
 class Backbone(Module):
-    """Strided trunk to [C, h, w] plus two 1x1 branch heads of C//4 channels."""
+    """Strided trunk to [C, h, w], then a 1x1 head to the pair map [2c, h, w], c = C//4."""
 
     def __init__(self, config, rng):
         self.config = config
@@ -204,8 +208,7 @@ class Backbone(Module):
         for cout in chans:
             self.stages.append(_ConvNormRelu(cin, cout, 3, 2, 1, rng))
             cin = cout
-        self.head_l = _ConvNormRelu(cin, config.hand_channels, 1, 1, 0, rng)
-        self.head_r = _ConvNormRelu(cin, config.hand_channels, 1, 1, 0, rng)
+        self.head = _ConvNormRelu(cin, 2 * config.hand_channels, 1, 1, 0, rng)
 
     def __call__(self, img):
         cfg = self.config
@@ -214,16 +217,16 @@ class Backbone(Module):
         x = img
         for stage in self.stages:
             x = stage(x)
-        return self.head_l(x), self.head_r(x)
+        return self.head(x)
 
 
 class InteractionFeatureBlock(Module):
     """Joint sequence transform over both hands plus cross-hand attention.
 
-    Concatenated per-hand maps pass through a 1x1 conv and a stack of
-    sequence blocks, are chunked back into per-hand halves along channels,
-    cross-attended (queries from one hand, keys/values from the other), and
-    fused back to per-hand width by a 1x1 conv.
+    The hand pair's map passes through a 1x1 conv and a stack of sequence
+    blocks, is chunked into per-hand halves along channels, cross-attended
+    (queries from one hand, keys/values from the other), and fused back to
+    per-hand width by a 1x1 conv. Both hands use one attention and one fuse.
     """
 
     def __init__(self, config, rng):
@@ -233,24 +236,21 @@ class InteractionFeatureBlock(Module):
                                     expand=config.expand, conv_width=config.conv_width,
                                     mlp_ratio=config.mlp_ratio, rng=rng)
                        for _ in range(config.vm_ife_depth)]
-        # both hands use each of these; "_l" keeps the checkpoint record names
-        self.attn_l = NonLocalBlock(c, rng)
-        self.fuse_l = Conv2dLayer(2 * c, c, 1, rng=rng)
+        self.attn = NonLocalBlock(c, rng)
+        self.fuse = Conv2dLayer(2 * c, c, 1, rng=rng)
 
-    def __call__(self, f_l, f_r):
-        if f_l.shape != f_r.shape:
-            raise ValueError(f"hand maps disagree: {f_l.shape} vs {f_r.shape}")
-        c, h, w = f_l.shape
-        x = self.initial_conv(concat([f_l, f_r], axis=0))
+    def __call__(self, f):
+        x = self.initial_conv(f)
+        c, h, w = x.shape[0] // 2, *x.shape[1:]
         seq = featuremap_to_sequence(x)
         for block in self.blocks:
             seq = block(seq)
         x = sequence_to_featuremap(seq, h, w)
         enh_l, enh_r = x[:c], x[c:]
-        inter_l = self.attn_l(enh_l, enh_r)
-        inter_r = self.attn_l(enh_r, enh_l)
-        starred_l = self.fuse_l(concat([enh_l, inter_l], axis=0))
-        starred_r = self.fuse_l(concat([enh_r, inter_r], axis=0))
+        inter_l = self.attn(enh_l, enh_r)
+        inter_r = self.attn(enh_r, enh_l)
+        starred_l = self.fuse(concat([enh_l, inter_l], axis=0))
+        starred_r = self.fuse(concat([enh_r, inter_r], axis=0))
         return starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r)
 
 
@@ -281,7 +281,8 @@ class JointFeatureExtractor(Module):
     def __init__(self, config, rng):
         c, j, d = config.hand_channels, config.joints, config.depth_bins
         self.joints = j
-        self.heat_conv = Conv2dLayer(c, j, 1, rng=rng)
+        # softmax over positions cancels a per-joint constant
+        self.heat_conv = Conv2dLayer(c, j, 1, rng=rng, bias=False)
         self.depth_conv = Conv2dLayer(c, j * d, 1, rng=rng)
         grid_y, grid_x = np.mgrid[0:config.map_h, 0:config.map_w]
         self.pixel_grid = np.stack([grid_x.ravel(), grid_y.ravel()]).astype(np.float64)
@@ -334,9 +335,8 @@ class DualHandRegressor(Module):
                                      1.0 / max(config.map_h - 1, 1),
                                      1.0 / (config.depth_bins - 1)])
         theta_dim = THETA_SHAPE[0] * THETA_SHAPE[1]
-        # both hands use each of these; "_l" keeps the checkpoint record names
-        self.theta_fc_l = Linear(j * (c + 3), theta_dim, zero_init=True)
-        self.beta_fc_l = Linear(c, BETA_DIM, zero_init=True)
+        self.theta_fc = Linear(j * (c + 3), theta_dim, zero_init=True)
+        self.beta_fc = Linear(c, BETA_DIM, zero_init=True)
         self.trel_fc = Linear(2 * c, 3, zero_init=True)
 
     def __call__(self, refined, uvd, starred_l, starred_r):
@@ -348,9 +348,9 @@ class DualHandRegressor(Module):
         packed = concat([refined, uvd * Tensor(self.coord_scale)], axis=-1)
         # each hand's and each sample's input is its own one-row matrix, whose
         # product keeps the bits it had alone; a B-row matrix would round otherwise
-        theta = reshape(self.theta_fc_l(reshape(packed, lead + (2, 1, -1))),
+        theta = reshape(self.theta_fc(reshape(packed, lead + (2, 1, -1))),
                         lead + (2,) + THETA_SHAPE)
-        beta = reshape(self.beta_fc_l(refined.mean(axis=-2, keepdims=True)), lead + (2, BETA_DIM))
+        beta = reshape(self.beta_fc(refined.mean(axis=-2, keepdims=True)), lead + (2, BETA_DIM))
         pooled = concat([starred_l.mean(axis=(-2, -1)), starred_r.mean(axis=(-2, -1))], axis=-1)
         t_rel = reshape(self.trel_fc(reshape(pooled, lead + (1, -1))), lead + (3,))
         return theta, beta, t_rel * self.TREL_SCALE_MM
@@ -364,8 +364,7 @@ class BimanualHandNet(Module):
         rng = np.random.default_rng(config.seed)
         self.backbone = Backbone(config, rng)
         self.interaction = InteractionFeatureBlock(config, rng)
-        # both hands use it; "_l" keeps the checkpoint record names
-        self.extractor_l = JointFeatureExtractor(config, rng)
+        self.extractor = JointFeatureExtractor(config, rng)
         self.refiner = JointSequenceRefiner(config, rng)
         self.regressor = DualHandRegressor(config, rng)
         self.rig = build_rig(config)
@@ -388,18 +387,18 @@ class BimanualHandNet(Module):
         if not (single or img.ndim == 4 and img.shape[0] >= 1 and img.shape[1:] == chw):
             raise ValueError(f"expected image [3,{cfg.image_h},{cfg.image_w}] or "
                              f"[B,3,{cfg.image_h},{cfg.image_w}] with B >= 1, got {img.shape}")
-        maps = []  # per image: f_l, f_r, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r
+        maps = []  # per image: f, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r
         for x in [img] if single else [img[i] for i in range(img.shape[0])]:
-            f_l, f_r = self.backbone(x)
-            starred_l, starred_r, enh_inter = self.interaction(f_l, f_r)
-            maps.append((f_l, f_r) + enh_inter + (starred_l, starred_r))
-        heats, coords, feats = self.extractor_l(*(m for per_image in maps for m in per_image[6:]))
+            f = self.backbone(x)
+            starred_l, starred_r, enh_inter = self.interaction(f)
+            maps.append((f,) + enh_inter + (starred_l, starred_r))
+        heats, coords, feats = self.extractor(*(m for per_image in maps for m in per_image[5:]))
         refined = self.refiner(feats)
         if single:
-            f_l, f_r, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r = maps[0]
+            f, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r = maps[0]
             heat_l, heat_r = heats
-        else:  # each per-hand map stacked over the batch, each [2B, ...] as [B, 2, ...]
-            f_l, f_r, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r = (
+        else:  # each map stacked over the batch, each [2B, ...] as [B, 2, ...]
+            f, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r = (
                 stack(list(batch)) for batch in zip(*maps))
             heat_l, heat_r = (Heatmap2p5D(stack([h.spatial_logits for h in heats[k::2]]),
                                           stack([h.depth_logits for h in heats[k::2]]))
@@ -414,7 +413,7 @@ class BimanualHandNet(Module):
         hands = handmodel.lbs(self.rig, theta, beta)
 
         aux = PipelineIntermediates(
-            f_l=f_l, f_r=f_r, enh_l=enh_l, enh_r=enh_r, inter_l=inter_l, inter_r=inter_r,
+            f=f, enh_l=enh_l, enh_r=enh_r, inter_l=inter_l, inter_r=inter_r,
             starred_l=starred_l, starred_r=starred_r, heatmap_l=heat_l, heatmap_r=heat_r,
             coords=coords, joint_feats=feats, refined_feats=refined)
         return FullOutput(theta=theta, beta=beta, joints_uvd=uvd, joints_mm=hands.joints,
@@ -462,20 +461,22 @@ def check_records(records, expected, what):
         raise ValueError(f"{what} holds {len(records)} records, expected {len(expected)}")
 
 def save_checkpoint(path, named_tensors):
-    """Write length-prefixed (name, shape, float64 LE data) records."""
+    """Write length-prefixed (name, shape, float64 LE data) records, then the
+    u32 ``zlib.crc32`` of every byte before it."""
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(named_tensors)))
+        def write(raw):
+            nonlocal crc
+            fh.write(raw)
+            crc = zlib.crc32(raw, crc)
+        write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(named_tensors)))
         for name, t in named_tensors:
             arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
             raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            write(struct.pack("<I", len(raw)) + raw
+                  + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+            write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path):
@@ -484,6 +485,8 @@ def load_checkpoint(path):
     Every read is bounds-checked: a short or inconsistent file raises
     ValueError naming the record index and byte offset, and a record's
     declared size is checked against the bytes left before it is allocated.
+    Once the framing has parsed, the trailing CRC-32 must match the bytes
+    before it, so a flipped bit is a named error.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -526,7 +529,13 @@ def load_checkpoint(path):
         start = take(8 * n, f"shape {shape}")
         data = np.frombuffer(blob, dtype="<f8", count=n, offset=start).reshape(shape)
         records.append((name, data.astype(np.float64)))
+    where = "the checksum"
+    stored = unpack("<I", "the CRC-32")
     if offset != len(blob):
         raise ValueError(f"checkpoint has {len(blob) - offset} trailing bytes after "
                          f"its {count} records, at byte {offset}")
+    crc = zlib.crc32(memoryview(blob)[:offset - 4])
+    if crc != stored:
+        raise ValueError(f"checkpoint checksum mismatch: its bytes give CRC-32 {crc:#010x}, "
+                         f"its last 4 bytes hold {stored:#010x}; the file is corrupt")
     return records

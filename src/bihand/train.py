@@ -453,7 +453,7 @@ FLOP_RULES = {
     "attention": lambda out, args: (2 * len(args[0]) + 2 * len(out) + 5) * out.shape[1] ** 2,
     "grid_sample": lambda out, args: 8 * out.size,  # four taps, a multiply-add each
     "linear": lambda out, args: 2 * out.size * args[1].shape[0] + out.size,
-    "conv2d": lambda out, args: 2 * out.size * args[1][0].size + out.size,
+    "conv2d": lambda out, args: (2 * args[1][0].size + len(args[2:])) * out.size,  # bias, if any
     "matmul": lambda out, args: 2 * out.size * args[0].shape[-1],
     "conv1d": lambda out, args: out.size * (2 * args[1].shape[1] + 1),
     "scan": lambda out, args: scan_flops(*args[0].shape, args[2].shape[1]),

@@ -91,7 +91,8 @@ def test_criterion_2_non_local_vs_brute_force():
 
         def proj(layer, m):
             wgt = layer.weight.data.reshape(layer.weight.shape[0], layer.weight.shape[1])
-            return wgt @ m.reshape(-1, n) + layer.bias.data[:, None]
+            out = wgt @ m.reshape(-1, n)
+            return out if layer.bias is None else out + layer.bias.data[:, None]
 
         q, k, v = proj(block.theta, x), proj(block.phi, ctx), proj(block.g, ctx)
         y = np.zeros_like(v)

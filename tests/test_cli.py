@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,51 @@ def test_eval_truncated_checkpoint_is_named_error(trained, tmp_path, capsys):
     assert "truncated in the header at byte 8" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def flipped_bit(blob):
+    """``blob`` with one bit flipped in its last record's data."""
+    bad = bytearray(blob)
+    bad[-5] ^= 0x10  # the last float64's high byte, just before the 4-byte checksum
+    return bytes(bad)
+
+
+def as_version_1(blob):
+    """``blob`` as a version-1 file: the same records, no checksum trailer."""
+    return blob[:4] + struct.pack("<I", 1) + blob[8:-4]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (flipped_bit, "checkpoint checksum mismatch: its bytes give CRC-32 0x"),
+    (as_version_1, "unsupported checkpoint version 1")])
+@pytest.mark.parametrize("name", ["model.ckpt", "dataset.bin"])
+def test_eval_refuses_a_corrupt_or_version_1_file_by_name(trained, tmp_path, capsys, name,
+                                                        corrupt, message):
+    bad = tmp_path / name
+    bad.write_bytes(corrupt((trained / name).read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(bad)
+    files = {"model.ckpt": trained / "model.ckpt", "dataset.bin": trained / "dataset.bin",
+             name: bad}
+    code = run(["--out", str(tmp_path / "o"), "--seed", "3", "eval",
+                "--checkpoint", str(files["model.ckpt"]), "--data", str(files["dataset.bin"])])
+    assert code == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {message}"), errors
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_gen_data_file_with_a_flipped_bit_is_a_checksum_error(tmp_path):
+    out = tmp_path / "data"
+    assert run(["--out", str(out), "--seed", "11", "gen-data", "--samples", "2"]) == 0
+    bad = tmp_path / "flipped.bin"
+    bad.write_bytes(flipped_bit((out / "dataset.bin").read_bytes()))
+    for load in (load_checkpoint, lambda path: tr.load_dataset(path, PipelineConfig.toy(seed=11))):
+        with pytest.raises(ValueError, match="checkpoint checksum mismatch"):
+            load(bad)
 
 
 def test_eval_mismatched_checkpoint_names_record(trained, tmp_path, capsys):

@@ -283,6 +283,17 @@ def test_batch_forward_and_loss_match_single_image_calls():
             assert terms[name].data[i].tobytes() == term.data.tobytes(), name
 
 
+def test_no_parameter_gradient_is_rounding_noise():
+    # a parameter that feeds an op which cancels it (a conv bias before a
+    # per-channel norm or a softmax) gets only rounding noise, which Adam
+    # would turn into lr-sized steps; the registry holds none
+    net = _woken_toy_net(seed=3)
+    samples = tr.synth_dataset(net.config, net.rig, 2, seed=4)
+    tr.batch_loss(net, samples)[0].backward()
+    ratios = {name: np.max(np.abs(t.grad)) / np.max(np.abs(t.data)) for name, t in net.params()}
+    assert {name: r for name, r in ratios.items() if not r >= 1e-6} == {}
+
+
 def test_toy_batch_step_matches_the_per_sample_loop():
     cfg = PipelineConfig.toy()
     net = BimanualHandNet(cfg)

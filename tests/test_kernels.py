@@ -389,7 +389,7 @@ def test_a_toy_batch_step_has_the_bits_of_the_composite_attention(monkeypatch):
     # the zero-initialized output projection would give q, k and v zero
     # gradients, and then no order of accumulating them could show
     net = BimanualHandNet(PipelineConfig.toy(seed=0))
-    z = net.interaction.attn_l.z.weight
+    z = net.interaction.attn.z.weight
     z.data = np.random.default_rng(5).uniform(-0.5, 0.5, z.shape)
     samples = tr.synth_dataset(net.config, net.rig, 8, seed=3)
 

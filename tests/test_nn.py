@@ -232,7 +232,8 @@ def nonlocal_oracle(block, x, ctx):
 
     def conv1x1(layer, m):
         wgt = layer.weight.data.reshape(layer.weight.shape[0], layer.weight.shape[1])
-        return (wgt @ m.reshape(m.shape[0], n)) + layer.bias.data[:, None]
+        out = wgt @ m.reshape(m.shape[0], n)
+        return out if layer.bias is None else out + layer.bias.data[:, None]
 
     q = conv1x1(block.theta, x)
     k = conv1x1(block.phi, ctx)

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from bihand import pipeline as pl
-from bihand.tensor import Tensor, no_grad, stack
+from bihand.tensor import Tensor, concat, no_grad, stack
 from bihand.gradcheck import fd_check
 
 
@@ -34,20 +34,25 @@ def identity_trunk(block):
 
 
 def passthrough_fusion(block):
-    c = block.fuse_l.weight.shape[0]
+    c = block.fuse.weight.shape[0]
     w = np.zeros((c, 2 * c, 1, 1))
     w[:, :c, 0, 0] = np.eye(c)
-    block.fuse_l.weight.data[:] = w
-    block.fuse_l.bias.data[:] = 0.0
+    block.fuse.weight.data[:] = w
+    block.fuse.bias.data[:] = 0.0
+
+
+def pair_map(rng, c, h, w):
+    """The left and right hands' maps [c,h,w], and their pair map [2c,h,w]."""
+    f_l, f_r = (Tensor(rng.uniform(-1, 1, (c, h, w))) for _ in "lr")
+    return f_l, f_r, concat([f_l, f_r], axis=0)
 
 
 # -- backbone ---------------------------------------------------------------
 
 def test_backbone_toy_shapes(toy_net):
     rng = np.random.default_rng(0)
-    f_l, f_r = toy_net.backbone(Tensor(rng.uniform(0, 1, (3, 64, 64))))
-    assert f_l.shape == (16, 8, 8)
-    assert f_r.shape == (16, 8, 8)
+    f = toy_net.backbone(Tensor(rng.uniform(0, 1, (3, 64, 64))))
+    assert f.shape == (32, 8, 8)  # both hands' 16 channels
 
 
 def test_backbone_full_profile_shapes():
@@ -56,15 +61,13 @@ def test_backbone_full_profile_shapes():
     assert cfg.hand_channels == cfg.backbone_channels // 4
     backbone = pl.Backbone(cfg, np.random.default_rng(0))
     with no_grad():
-        f_l, f_r = backbone(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 256, 256))))
-    assert f_l.shape == (512, 8, 8)
-    assert f_r.shape == (512, 8, 8)
+        f = backbone(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 256, 256))))
+    assert f.shape == (1024, 8, 8)
 
 
 def test_backbone_zero_image_gives_zero_maps(toy_net):
-    f_l, f_r = toy_net.backbone(Tensor(np.zeros((3, 64, 64))))
-    assert np.all(f_l.data == 0.0)
-    assert np.all(f_r.data == 0.0)
+    f = toy_net.backbone(Tensor(np.zeros((3, 64, 64))))
+    assert np.all(f.data == 0.0)
 
 
 def test_backbone_rejects_wrong_shape(toy_net):
@@ -80,10 +83,8 @@ def test_interaction_identity_composition():
     identity_trunk(block)
     passthrough_fusion(block)
     rng = np.random.default_rng(7)
-    c = cfg.hand_channels
-    f_l = Tensor(rng.uniform(-1, 1, (c, 2, 2)))
-    f_r = Tensor(rng.uniform(-1, 1, (c, 2, 2)))
-    starred_l, _, _ = block(f_l, f_r)
+    f_l, _, f = pair_map(rng, cfg.hand_channels, 2, 2)
+    starred_l, _, _ = block(f)
     assert np.array_equal(starred_l.data, f_l.data)
 
 
@@ -92,18 +93,19 @@ def test_interaction_output_shapes():
     block = pl.InteractionFeatureBlock(cfg, np.random.default_rng(11))
     rng = np.random.default_rng(13)
     c = cfg.hand_channels
-    f_l = Tensor(rng.uniform(-1, 1, (c, 3, 2)))
-    f_r = Tensor(rng.uniform(-1, 1, (c, 3, 2)))
-    starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r) = block(f_l, f_r)
+    starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r) = block(pair_map(rng, c, 3, 2)[2])
     for m in (starred_l, starred_r, enh_l, enh_r, inter_l, inter_r):
         assert m.shape == (c, 3, 2)
 
 
 def test_interaction_mismatched_hands():
+    # a map whose width is not both hands' channels is refused by name
     cfg = small_config()
     block = pl.InteractionFeatureBlock(cfg, np.random.default_rng(17))
-    with pytest.raises(ValueError):
-        block(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 3, 2))))
+    for width in (cfg.hand_channels, 2 * cfg.hand_channels + 1):
+        with pytest.raises(ValueError, match=r"conv2d channel mismatch: input "
+                                             rf"\({width}, 2, 2\)"):
+            block(Tensor(np.zeros((width, 2, 2))))
 
 
 def test_interaction_gradients():
@@ -121,7 +123,7 @@ def test_interaction_gradients():
     probe_r = Tensor(rng.uniform(-1, 1, (c, 2, 2)))
 
     def run():
-        s_l, s_r, _ = block(f_l, f_r)
+        s_l, s_r, _ = block(concat([f_l, f_r], axis=0))
         return (s_l * probe_l).sum() + (s_r * probe_r).sum()
 
     leaves = [f_l, f_r] + [t for _, t in block.params()]
@@ -129,17 +131,15 @@ def test_interaction_gradients():
 
 
 def test_hand_swap_equivariance_with_shared_heads():
-    # identity trunk and shared per-hand heads: swapping the input hands and
-    # the chunk assignment must swap the starred outputs bitwise
+    # identity trunk and shared per-hand heads: swapping the halves of the
+    # pair map must swap the starred outputs bitwise
     cfg = small_config()
     block = pl.InteractionFeatureBlock(cfg, np.random.default_rng(29))
     identity_trunk(block)
     rng = np.random.default_rng(31)
-    c = cfg.hand_channels
-    f_l = Tensor(rng.uniform(-1, 1, (c, 2, 2)))
-    f_r = Tensor(rng.uniform(-1, 1, (c, 2, 2)))
-    s_l, s_r, _ = block(f_l, f_r)
-    s_l_swap, s_r_swap, _ = block(f_r, f_l)
+    f_l, f_r, f = pair_map(rng, cfg.hand_channels, 2, 2)
+    s_l, s_r, _ = block(f)
+    s_l_swap, s_r_swap, _ = block(concat([f_r, f_l], axis=0))
     assert np.array_equal(s_l_swap.data, s_r.data)
     assert np.array_equal(s_r_swap.data, s_l.data)
 
@@ -184,7 +184,6 @@ def test_extractor_near_delta_logits(toy_net):
     ext = pl.JointFeatureExtractor(cfg, np.random.default_rng(43))
     ext.heat_conv.weight.data[:] = 0.0
     ext.heat_conv.weight.data[0, 0, 0, 0] = 1.0  # joint 0 reads input channel 0
-    ext.heat_conv.bias.data[:] = 0.0
     f = np.zeros((cfg.hand_channels, 8, 8))
     f[0, 2, 5] = 1000.0
     _, coords, _ = ext(Tensor(f), Tensor(f))
@@ -195,8 +194,8 @@ def test_extractor_uniform_logits_give_center(toy_net):
     cfg = toy_net.config
     ext = pl.JointFeatureExtractor(cfg, np.random.default_rng(47))
     ext.heat_conv.weight.data[:] = 0.0
-    ext.heat_conv.bias.data[:] = np.arange(cfg.joints)  # constant per joint
-    f = Tensor(np.zeros((cfg.hand_channels, 8, 8)))
+    ext.heat_conv.weight.data[:, 0, 0, 0] = np.arange(cfg.joints)  # constant per joint
+    f = Tensor(np.ones((cfg.hand_channels, 8, 8)))
     _, coords, _ = ext(f, f)
     assert np.all(coords.xy.data[..., 0] == 3.5)
     assert np.all(coords.xy.data[..., 1] == 3.5)
@@ -230,7 +229,7 @@ def test_extractor_feature_hull(toy_net):
     with no_grad():
         for _ in range(50):
             f_l, f_r = (Tensor(rng.uniform(-9, 9, (cfg.hand_channels, 8, 8))) for _ in "lr")
-            _, coords, _ = toy_net.extractor_l(f_l, f_r)
+            _, coords, _ = toy_net.extractor(f_l, f_r)
             assert np.all(coords.xy.data[..., 0] >= 0) and np.all(coords.xy.data[..., 0] <= 7)
             assert np.all(coords.xy.data[..., 1] >= 0) and np.all(coords.xy.data[..., 1] <= 7)
             assert np.all(coords.z.data >= 0) and np.all(coords.z.data <= cfg.depth_bins - 1)
@@ -355,8 +354,19 @@ def test_forward_exposes_all_intermediates(toy_net):
     assert aux.heatmap_l.depth_logits.shape == (21, 16)
     assert aux.coords.xy.shape == (2, 21, 2)  # sampling positions
     assert aux.coords.z.shape == (2, 21)
+    assert aux.f.shape == (32, 8, 8)
     assert aux.f_l.shape == aux.starred_r.shape == (16, 8, 8)
     assert aux.joint_feats.shape == aux.refined_feats.shape == (2, 21, 16)
+
+
+def test_backbone_map_halves_are_read_only_views(toy_net):
+    with no_grad():
+        aux = toy_net.forward(Tensor(np.random.default_rng(139).uniform(0, 1, (3, 64, 64)))).aux
+    assert aux.f_l.data.tobytes() == aux.f.data[:16].tobytes()
+    assert aux.f_r.data.tobytes() == aux.f.data[16:].tobytes()
+    for hand in "lr":
+        with pytest.raises(AttributeError):
+            setattr(aux, f"f_{hand}", aux.f)
 
 
 def test_full_network_gradients_small_config():
@@ -454,14 +464,16 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
 
 # sha256 of the "name:shape" lines of the toy registry; a change here means
 # checkpoint record order or naming changed and CHECKPOINT_VERSION must move
-REGISTRY_SHA256 = "1ca72a91eeab806ae1dbf0cd398fcd7daf4c9740ece182e9d37ed0171d70b9fa"
+REGISTRY_SHA256 = "a245d1f2ae20ad174f5946cf4d4affda4c38a20c327c00ff57f41825f48f282b"
 
 
 def test_registry_names_and_shapes_are_pinned():
     net = pl.BimanualHandNet(pl.PipelineConfig.toy())
     lines = "\n".join(f"{name}:{tuple(t.shape)}" for name, t in net.params())
     assert hashlib.sha256(lines.encode()).hexdigest() == REGISTRY_SHA256
-    assert len(net.params()) == 138
+    assert len(net.params()) == 128
+    # one module per hand-pair role: no record is named for one hand
+    assert [name for name, _ in net.params() if re.search(r"_[lr](\.|$)", name)] == []
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -484,6 +496,7 @@ def tiny_checkpoint_bytes(tmp_path):
 def test_checkpoint_every_truncation_prefix_is_a_named_error(tmp_path):
     blob = tiny_checkpoint_bytes(tmp_path)
     path = tmp_path / "cut.ckpt"
+    checksum_at = len(blob) - 4
     for n in range(len(blob)):
         path.write_bytes(blob[:n])
         try:
@@ -491,7 +504,9 @@ def test_checkpoint_every_truncation_prefix_is_a_named_error(tmp_path):
         except ValueError as exc:
             msg = str(exc)
             assert "truncated" in msg and " at byte " in msg, (n, msg)
-            if n >= 16:
+            if n >= checksum_at:  # every record parsed; the trailer is cut
+                assert f"truncated in the checksum at byte {checksum_at}: " in msg, (n, msg)
+            elif n >= 16:
                 assert "in record " in msg, (n, msg)
         else:
             raise AssertionError(f"prefix of {n} bytes loaded")
@@ -513,12 +528,25 @@ def test_checkpoint_bad_name_and_trailing_bytes_name_their_place(tmp_path):
     blob = tiny_checkpoint_bytes(tmp_path)
     path = tmp_path / "bad.ckpt"
     path.write_bytes(blob + b"\x00")
-    with pytest.raises(ValueError, match=f"1 trailing bytes after its 90 records, "
+    with pytest.raises(ValueError, match=f"1 trailing bytes after its 80 records, "
                                          f"at byte {len(blob)}"):
         pl.load_checkpoint(path)
     path.write_bytes(blob[:20] + b"\xff" + blob[21:])
     with pytest.raises(ValueError, match="record 0 at byte 20: name is not UTF-8"):
         pl.load_checkpoint(path)
+
+
+def test_checkpoint_flipped_payload_bit_is_a_checksum_error(tmp_path):
+    blob = tiny_checkpoint_bytes(tmp_path)
+    path = tmp_path / "flipped.ckpt"
+    last_value = len(blob) - 12  # the last record's last float64, before the trailer
+    for bit in range(64):
+        bad = bytearray(blob)
+        bad[last_value + bit // 8] ^= 1 << bit % 8
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ValueError, match="checkpoint checksum mismatch: its bytes give "
+                                             "CRC-32 0x[0-9a-f]{8}, its last 4 bytes hold "):
+            pl.load_checkpoint(path)
 
 
 def test_checkpoint_mismatch_names_record(tmp_path):
