@@ -128,8 +128,11 @@ def load_config_json(path):
 
 @dataclass
 class Heatmap2p5D:
-    spatial_logits: Tensor  # [J, h, w]
-    depth_logits: Tensor    # [J, D]
+    spatial_logits: Tensor  # [n, J, h, w]
+    depth_logits: Tensor    # [n, J, D]
+
+    def __getitem__(self, key):
+        return Heatmap2p5D(self.spatial_logits[key], self.depth_logits[key])
 
 
 @dataclass
@@ -143,22 +146,14 @@ class JointCoords:
 
 @dataclass
 class PipelineIntermediates:
-    """Every intermediate the stages exchange, for inspection and tests; a
-    batch's fields carry a leading B axis."""
-    f: Tensor = None                # [2c, h, w] backbone map; f_l, f_r: read-only halves
-    enh_l: Tensor = None            # [c, h, w] after the sequence blocks
-    enh_r: Tensor = None
-    inter_l: Tensor = None          # [c, h, w] cross-hand attention
-    inter_r: Tensor = None
-    starred_l: Tensor = None        # [c, h, w] fused, fed to the extractors
-    starred_r: Tensor = None
-    heatmap_l: Heatmap2p5D = None
-    heatmap_r: Heatmap2p5D = None
-    coords: JointCoords = None      # [2, J, ...] both hands' decoded joints
+    """What the stages pass to each other, the hand pair as a leading axis of 2,
+    left first; a batch's fields carry a leading B axis before it."""
+    f: Tensor = None                # [2c, h, w] backbone map, the left hand's c channels first
+    starred: Tensor = None          # [2, c, h, w] interaction output, fed to the extractor
+    heatmap: Heatmap2p5D = None     # [2, J, h, w] spatial and [2, J, D] depth logits
+    coords: JointCoords = None      # [2, J, ...] decoded joints
     joint_feats: Tensor = None      # [2, J, c] sampled at the decoded joints
     refined_feats: Tensor = None    # [2, J, c] after the joint refiner
-    f_l = property(lambda aux: aux.f[..., :aux.f.shape[-3] // 2, :, :])
-    f_r = property(lambda aux: aux.f[..., aux.f.shape[-3] // 2:, :, :])
 
 
 @dataclass
@@ -174,14 +169,23 @@ class FullOutput:
     aux: PipelineIntermediates = field(default_factory=PipelineIntermediates)
 
 
-# Read-only per-hand views (``theta_l``, ``vertices_r``, ...), built when read,
-# for readers outside the package that still take one hand at a time. Each
-# indexes the pair axis, so a batch's view holds that hand of every sample.
-for _name in ("theta", "beta", "joints_uvd", "joints_mm", "vertices"):
-    for _index, _hand in enumerate("lr"):
-        setattr(FullOutput, f"{_name}_{_hand}", property(
-            lambda out, name=_name, index=_index:
-                getattr(out, name)[(slice(None),) * (out.t_rel.ndim - 1) + (index,)]))
+def _hand_views(cls, names, key):
+    """Give ``cls`` read-only properties ``<name>_l`` and ``<name>_r`` for each of
+    ``names``, built when read: hand k's is ``getattr(obj, name)[key(obj, k)]``."""
+    for name in names:
+        for k, hand in enumerate("lr"):
+            setattr(cls, f"{name}_{hand}", property(
+                lambda obj, name=name, k=k: getattr(obj, name)[key(obj, k)]))
+
+
+# Read-only per-hand views (``theta_l``, ``aux.starred_r``, ...) for readers outside
+# the package that take one hand at a time; on a batch, that hand of every sample.
+_hand_views(FullOutput, ("theta", "beta", "joints_uvd", "joints_mm", "vertices"),
+            lambda out, k: (slice(None),) * (out.t_rel.ndim - 1) + (k,))
+_hand_views(PipelineIntermediates, ("starred", "heatmap"),
+            lambda aux, k: (slice(None),) * (aux.f.ndim - 3) + (k,))
+_hand_views(PipelineIntermediates, ("f",), lambda aux, k: np.s_[  # its channel halves
+    ..., k * aux.f.shape[-3] // 2:(k + 1) * aux.f.shape[-3] // 2, :, :])
 
 
 # -- network stages -------------------------------------------------------------
@@ -240,6 +244,7 @@ class InteractionFeatureBlock(Module):
         self.fuse = Conv2dLayer(2 * c, c, 1, rng=rng)
 
     def __call__(self, f):
+        """The two hands' starred maps [c,h,w] of the pair map ``f`` [2c,h,w]."""
         x = self.initial_conv(f)
         c, h, w = x.shape[0] // 2, *x.shape[1:]
         seq = featuremap_to_sequence(x)
@@ -251,7 +256,7 @@ class InteractionFeatureBlock(Module):
         inter_r = self.attn(enh_r, enh_l)
         starred_l = self.fuse(concat([enh_l, inter_l], axis=0))
         starred_r = self.fuse(concat([enh_r, inter_r], axis=0))
-        return starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r)
+        return starred_l, starred_r
 
 
 def soft_argmax(logits, positions):
@@ -288,16 +293,18 @@ class JointFeatureExtractor(Module):
         self.pixel_grid = np.stack([grid_x.ravel(), grid_y.ravel()]).astype(np.float64)
         self.bins = np.arange(d, dtype=np.float64)
 
-    def __call__(self, *maps):
-        """Each map's heatmaps; the coordinates [n,J,...] and features [n,J,c] of
-        the n per-hand maps [c,h,w], decoded and sampled as one batch."""
+    def __call__(self, maps):
+        """The list of n per-hand maps [c,h,w], decoded and sampled as one batch:
+        their heatmaps [n,J,h,w] and [n,J,D], coordinates [n,J,...], features
+        [n,J,c], and the maps' stack [n,c,h,w] the features are sampled from."""
         n, j = len(maps), self.joints
-        heats = [Heatmap2p5D(self.heat_conv(f), reshape(self.depth_conv(f).mean(axis=(1, 2)),
-                                                        (j, -1))) for f in maps]
-        spatial = stack([heat.spatial_logits for heat in heats])
-        xy = soft_argmax(reshape(spatial, (n, j, -1)), self.pixel_grid)
-        z = soft_argmax(stack([heat.depth_logits for heat in heats]), self.bins)
-        return heats, JointCoords(xy=xy, z=z), grid_sample(stack(maps), xy)
+        heat = Heatmap2p5D(stack([self.heat_conv(f) for f in maps]),
+                           stack([reshape(self.depth_conv(f).mean(axis=(1, 2)), (j, -1))
+                                  for f in maps]))
+        xy = soft_argmax(reshape(heat.spatial_logits, (n, j, -1)), self.pixel_grid)
+        z = soft_argmax(heat.depth_logits, self.bins)
+        stacked = stack(maps)
+        return heat, JointCoords(xy=xy, z=z), grid_sample(stacked, xy), stacked
 
 
 class JointSequenceRefiner(Module):
@@ -339,11 +346,11 @@ class DualHandRegressor(Module):
         self.beta_fc = Linear(c, BETA_DIM, zero_init=True)
         self.trel_fc = Linear(2 * c, 3, zero_init=True)
 
-    def __call__(self, refined, uvd, starred_l, starred_r):
+    def __call__(self, refined, uvd, starred):
         """Both hands' pose [...,2,16,3] and shape [...,2,10], from their refined
         features ``refined`` [...,2,J,c] and joint coordinates ``uvd`` [...,2,J,3];
-        and the relative translation [...,3] from the maps [...,c,h,w]. The leading
-        ``...`` is empty for one image and [B] for a batch."""
+        and the relative translation [...,3] from their maps ``starred``
+        [...,2,c,h,w]. The leading ``...`` is empty for one image and [B] for a batch."""
         lead = refined.shape[:-3]
         packed = concat([refined, uvd * Tensor(self.coord_scale)], axis=-1)
         # each hand's and each sample's input is its own one-row matrix, whose
@@ -351,8 +358,8 @@ class DualHandRegressor(Module):
         theta = reshape(self.theta_fc(reshape(packed, lead + (2, 1, -1))),
                         lead + (2,) + THETA_SHAPE)
         beta = reshape(self.beta_fc(refined.mean(axis=-2, keepdims=True)), lead + (2, BETA_DIM))
-        pooled = concat([starred_l.mean(axis=(-2, -1)), starred_r.mean(axis=(-2, -1))], axis=-1)
-        t_rel = reshape(self.trel_fc(reshape(pooled, lead + (1, -1))), lead + (3,))
+        pooled = reshape(starred.mean(axis=(-2, -1)), lead + (1, -1))
+        t_rel = reshape(self.trel_fc(pooled), lead + (3,))
         return theta, beta, t_rel * self.TREL_SCALE_MM
 
 
@@ -379,7 +386,8 @@ class BimanualHandNet(Module):
         unpacks. From the joint decode on, the batch's 2B hands (left, then
         right, per image) run as one pair-batch: one soft-argmax, one
         ``grid_sample``, one refiner and regressor pass and one ``lbs``. Each
-        image gets the bits of its own forward.
+        image gets the bits of its own forward. A batch's ``aux.f`` stacks the
+        images' maps, and every other field reads its [2B, ...] pair-batch as [B, 2, ...].
         """
         cfg = self.config
         chw = (3, cfg.image_h, cfg.image_w)
@@ -387,35 +395,25 @@ class BimanualHandNet(Module):
         if not (single or img.ndim == 4 and img.shape[0] >= 1 and img.shape[1:] == chw):
             raise ValueError(f"expected image [3,{cfg.image_h},{cfg.image_w}] or "
                              f"[B,3,{cfg.image_h},{cfg.image_w}] with B >= 1, got {img.shape}")
-        maps = []  # per image: f, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r
+        fs, maps = [], []  # maps: each image's left, then right starred map
         for x in [img] if single else [img[i] for i in range(img.shape[0])]:
-            f = self.backbone(x)
-            starred_l, starred_r, enh_inter = self.interaction(f)
-            maps.append((f,) + enh_inter + (starred_l, starred_r))
-        heats, coords, feats = self.extractor(*(m for per_image in maps for m in per_image[5:]))
+            fs.append(self.backbone(x))
+            maps += self.interaction(fs[-1])
+        heat, coords, feats, starred = self.extractor(maps)
         refined = self.refiner(feats)
-        if single:
-            f, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r = maps[0]
-            heat_l, heat_r = heats
-        else:  # each map stacked over the batch, each [2B, ...] as [B, 2, ...]
-            f, enh_l, enh_r, inter_l, inter_r, starred_l, starred_r = (
-                stack(list(batch)) for batch in zip(*maps))
-            heat_l, heat_r = (Heatmap2p5D(stack([h.spatial_logits for h in heats[k::2]]),
-                                          stack([h.depth_logits for h in heats[k::2]]))
-                              for k in (0, 1))
-
+        f = fs[0] if single else stack(fs)
+        if not single:  # each [2B, ...] pair-batch as [B, 2, ...]
             def pairs(t):
-                return reshape(t, (len(maps), 2) + t.shape[1:])
+                return reshape(t, (len(fs), 2) + t.shape[1:])
+            heat = Heatmap2p5D(pairs(heat.spatial_logits), pairs(heat.depth_logits))
             coords = JointCoords(xy=pairs(coords.xy), z=pairs(coords.z))
-            feats, refined = pairs(feats), pairs(refined)
+            feats, refined, starred = pairs(feats), pairs(refined), pairs(starred)
         uvd = coords.uvd()
-        theta, beta, t_rel = self.regressor(refined, uvd, starred_l, starred_r)
+        theta, beta, t_rel = self.regressor(refined, uvd, starred)
         hands = handmodel.lbs(self.rig, theta, beta)
 
-        aux = PipelineIntermediates(
-            f=f, enh_l=enh_l, enh_r=enh_r, inter_l=inter_l, inter_r=inter_r,
-            starred_l=starred_l, starred_r=starred_r, heatmap_l=heat_l, heatmap_r=heat_r,
-            coords=coords, joint_feats=feats, refined_feats=refined)
+        aux = PipelineIntermediates(f=f, starred=starred, heatmap=heat, coords=coords,
+                                    joint_feats=feats, refined_feats=refined)
         return FullOutput(theta=theta, beta=beta, joints_uvd=uvd, joints_mm=hands.joints,
                           vertices=hands.vertices, t_rel=t_rel, aux=aux)
 

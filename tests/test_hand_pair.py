@@ -198,18 +198,28 @@ def test_toy_forward_and_loss_keep_the_pair_under_the_tighter_budget():
 
 def test_every_training_op_but_the_joint_regression_reaches_the_loss():
     net, sample = _toy_training_sample()
-    ran = []  # keeps each output array alive, so its id names one leaf
-    with observe_ops(lambda tag, out, parents: ran.append((tag, out))):
-        total = tr.loss(net.forward(Tensor(sample.image)), sample)
-    nodes = _toposort(total)
-    # an op on constants is reached as a leaf that holds its output array; one
-    # that takes gradients as a node, which keeps its tag and shape but no array
-    leaves = {id(node.data) for node in nodes if not node._parents}
-    ops = collections.Counter((tag, out.shape) for tag, out in ran if id(out) not in leaves)
-    reached = collections.Counter((node._op, node.shape) for node in nodes if node._parents)
-    assert sum(ops.values()) == sum(reached.values()) + 1
-    # lbs regresses the joints off the posed mesh; the loss supervises the mesh itself
-    assert list((ops - reached).elements()) == [("matmul", (2, 21, 3))]
+    pair = tr.synth_dataset(net.config, net.rig, 2, seed=3)
+    # lbs regresses the joints off the posed mesh; the loss supervises the mesh itself.
+    # A batch's aux also stacks f and reads the heatmaps and sampled features
+    # as [B,2,...], which only aux holds
+    for run, unreached in (
+            (lambda: tr.loss(net.forward(Tensor(sample.image)), sample),
+             [("matmul", (2, 21, 3))]),
+            (lambda: tr.batch_loss(net, pair)[0],
+             [("matmul", (2, 2, 21, 3)), ("reshape", (2, 2, 21, 8, 8)),
+              ("reshape", (2, 2, 21, 16)), ("reshape", (2, 2, 21, 16)),
+              ("stack", (2, 32, 8, 8))])):
+        ran = []  # keeps each output array alive, so its id names one leaf
+        with observe_ops(lambda tag, out, parents: ran.append((tag, out))):
+            total = run()
+        nodes = _toposort(total)
+        # an op on constants is reached as a leaf that holds its output array; one
+        # that takes gradients as a node, which keeps its tag and shape but no array
+        leaves = {id(node.data) for node in nodes if not node._parents}
+        ops = collections.Counter((tag, out.shape) for tag, out in ran if id(out) not in leaves)
+        reached = collections.Counter((node._op, node.shape) for node in nodes if node._parents)
+        assert sum(ops.values()) == sum(reached.values()) + len(unreached)
+        assert sorted((ops - reached).elements()) == unreached
 
 
 def test_per_hand_output_views_are_read_only_slices_of_the_pair():
@@ -255,8 +265,7 @@ def _arrays(out):
     named = {name: getattr(out, name) for name in
              ("theta", "beta", "joints_uvd", "joints_mm", "vertices", "t_rel")}
     named.update({f"aux.{name}": getattr(aux, name) for name in
-                  ("f_l", "f_r", "enh_l", "enh_r", "inter_l", "inter_r", "starred_l",
-                   "starred_r", "joint_feats", "refined_feats")})
+                  ("f_l", "f_r", "starred_l", "starred_r", "joint_feats", "refined_feats")})
     for hand in ("heatmap_l", "heatmap_r"):
         heat = getattr(aux, hand)
         named[f"aux.{hand}.spatial"] = heat.spatial_logits
@@ -272,7 +281,7 @@ def test_batch_forward_and_loss_match_single_image_calls():
     out = net.forward(Tensor(batch.image))
     terms = tr.loss_terms(out, batch)
     batched = _arrays(out)
-    assert len(batched) == 22
+    assert len(batched) == 18
     for i, sample in enumerate(samples):
         single = net.forward(Tensor(sample.image))
         for name, array in _arrays(single).items():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -84,7 +85,7 @@ def test_interaction_identity_composition():
     passthrough_fusion(block)
     rng = np.random.default_rng(7)
     f_l, _, f = pair_map(rng, cfg.hand_channels, 2, 2)
-    starred_l, _, _ = block(f)
+    starred_l, _ = block(f)
     assert np.array_equal(starred_l.data, f_l.data)
 
 
@@ -93,8 +94,7 @@ def test_interaction_output_shapes():
     block = pl.InteractionFeatureBlock(cfg, np.random.default_rng(11))
     rng = np.random.default_rng(13)
     c = cfg.hand_channels
-    starred_l, starred_r, (enh_l, enh_r, inter_l, inter_r) = block(pair_map(rng, c, 3, 2)[2])
-    for m in (starred_l, starred_r, enh_l, enh_r, inter_l, inter_r):
+    for m in block(pair_map(rng, c, 3, 2)[2]):
         assert m.shape == (c, 3, 2)
 
 
@@ -123,7 +123,7 @@ def test_interaction_gradients():
     probe_r = Tensor(rng.uniform(-1, 1, (c, 2, 2)))
 
     def run():
-        s_l, s_r, _ = block(concat([f_l, f_r], axis=0))
+        s_l, s_r = block(concat([f_l, f_r], axis=0))
         return (s_l * probe_l).sum() + (s_r * probe_r).sum()
 
     leaves = [f_l, f_r] + [t for _, t in block.params()]
@@ -138,8 +138,8 @@ def test_hand_swap_equivariance_with_shared_heads():
     identity_trunk(block)
     rng = np.random.default_rng(31)
     f_l, f_r, f = pair_map(rng, cfg.hand_channels, 2, 2)
-    s_l, s_r, _ = block(f)
-    s_l_swap, s_r_swap, _ = block(concat([f_r, f_l], axis=0))
+    s_l, s_r = block(f)
+    s_l_swap, s_r_swap = block(concat([f_r, f_l], axis=0))
     assert np.array_equal(s_l_swap.data, s_r.data)
     assert np.array_equal(s_r_swap.data, s_l.data)
 
@@ -186,7 +186,7 @@ def test_extractor_near_delta_logits(toy_net):
     ext.heat_conv.weight.data[0, 0, 0, 0] = 1.0  # joint 0 reads input channel 0
     f = np.zeros((cfg.hand_channels, 8, 8))
     f[0, 2, 5] = 1000.0
-    _, coords, _ = ext(Tensor(f), Tensor(f))
+    _, coords, _, _ = ext([Tensor(f), Tensor(f)])
     npt.assert_allclose(coords.xy.data[:, 0], [[5.0, 2.0]] * 2, atol=1e-6)
 
 
@@ -196,7 +196,7 @@ def test_extractor_uniform_logits_give_center(toy_net):
     ext.heat_conv.weight.data[:] = 0.0
     ext.heat_conv.weight.data[:, 0, 0, 0] = np.arange(cfg.joints)  # constant per joint
     f = Tensor(np.ones((cfg.hand_channels, 8, 8)))
-    _, coords, _ = ext(f, f)
+    _, coords, _, _ = ext([f, f])
     assert np.all(coords.xy.data[..., 0] == 3.5)
     assert np.all(coords.xy.data[..., 1] == 3.5)
 
@@ -206,8 +206,8 @@ def test_extractor_coords_match_expectation_loops(toy_net):
     ext = pl.JointFeatureExtractor(cfg, np.random.default_rng(53))
     rng = np.random.default_rng(59)
     f = Tensor(rng.uniform(-2, 2, (cfg.hand_channels, 8, 8)))
-    (heat, _), coords, feats = ext(f, Tensor(np.zeros(f.shape)))
-    logits = heat.spatial_logits.data
+    heat, coords, _, _ = ext([f, Tensor(np.zeros(f.shape))])
+    logits = heat.spatial_logits.data[0]
     for j in range(cfg.joints):
         w = np.exp(logits[j] - logits[j].max())
         w /= w.sum()
@@ -215,7 +215,7 @@ def test_extractor_coords_match_expectation_loops(toy_net):
         ey = sum(w[y, x] * y for y in range(8) for x in range(8))
         assert abs(coords.xy.data[0, j, 0] - ex) <= 1e-12
         assert abs(coords.xy.data[0, j, 1] - ey) <= 1e-12
-    dz = heat.depth_logits.data
+    dz = heat.depth_logits.data[0]
     for j in range(cfg.joints):
         w = np.exp(dz[j] - dz[j].max())
         w /= w.sum()
@@ -229,7 +229,7 @@ def test_extractor_feature_hull(toy_net):
     with no_grad():
         for _ in range(50):
             f_l, f_r = (Tensor(rng.uniform(-9, 9, (cfg.hand_channels, 8, 8))) for _ in "lr")
-            _, coords, _ = toy_net.extractor(f_l, f_r)
+            _, coords, _, _ = toy_net.extractor([f_l, f_r])
             assert np.all(coords.xy.data[..., 0] >= 0) and np.all(coords.xy.data[..., 0] <= 7)
             assert np.all(coords.xy.data[..., 1] >= 0) and np.all(coords.xy.data[..., 1] <= 7)
             assert np.all(coords.z.data >= 0) and np.all(coords.z.data <= cfg.depth_bins - 1)
@@ -284,7 +284,7 @@ def test_regressor_zero_weights_zero_outputs():
     refined = Tensor(rng.uniform(-1, 1, (j, c)))
     starred = Tensor(rng.uniform(-1, 1, (c, 2, 2)))
     uvd = stack([coords.uvd(), coords.uvd()])
-    theta, beta, t_rel = reg(stack([refined, refined]), uvd, starred, starred)
+    theta, beta, t_rel = reg(stack([refined, refined]), uvd, stack([starred, starred]))
     assert theta.shape == (2, 16, 3) and theta.data.size == 96
     assert beta.shape == (2, 10)
     assert t_rel.shape == (3,)
@@ -311,7 +311,7 @@ def test_regressor_gradients():
 
     def run():
         theta, beta, t_rel = reg(stack([ref_l, ref_r]),
-                                 stack([coords_l.uvd(), coords_r.uvd()]), s_l, s_r)
+                                 stack([coords_l.uvd(), coords_r.uvd()]), stack([s_l, s_r]))
         return ((theta[0] * w[0]).sum() + (beta[0] * w[1]).sum() + (theta[1] * w[0]).sum()
                 + (t_rel * w[2]).sum())
 
@@ -348,25 +348,36 @@ def test_forward_exposes_all_intermediates(toy_net):
     with no_grad():
         out = toy_net.forward(Tensor(rng.uniform(0, 1, (3, 64, 64))))
     aux = out.aux
-    for name in ("enh_l", "enh_r", "inter_l", "inter_r", "starred_l", "starred_r"):
-        assert getattr(aux, name) is not None
-    assert aux.heatmap_l.spatial_logits.shape == (21, 8, 8)
-    assert aux.heatmap_l.depth_logits.shape == (21, 16)
+    assert [f.name for f in dataclasses.fields(aux)] == [
+        "f", "starred", "heatmap", "coords", "joint_feats", "refined_feats"]
+    assert aux.f.shape == (32, 8, 8)
+    assert aux.starred.shape == (2, 16, 8, 8)
+    assert aux.heatmap.spatial_logits.shape == (2, 21, 8, 8)
+    assert aux.heatmap.depth_logits.shape == (2, 21, 16)
     assert aux.coords.xy.shape == (2, 21, 2)  # sampling positions
     assert aux.coords.z.shape == (2, 21)
-    assert aux.f.shape == (32, 8, 8)
-    assert aux.f_l.shape == aux.starred_r.shape == (16, 8, 8)
     assert aux.joint_feats.shape == aux.refined_feats.shape == (2, 21, 16)
 
 
 def test_backbone_map_halves_are_read_only_views(toy_net):
-    with no_grad():
-        aux = toy_net.forward(Tensor(np.random.default_rng(139).uniform(0, 1, (3, 64, 64)))).aux
-    assert aux.f_l.data.tobytes() == aux.f.data[:16].tobytes()
-    assert aux.f_r.data.tobytes() == aux.f.data[16:].tobytes()
-    for hand in "lr":
-        with pytest.raises(AttributeError):
-            setattr(aux, f"f_{hand}", aux.f)
+    # as are the hands' starred maps and heatmaps, on one image and on a batch
+    for shape in ((3, 64, 64), (2, 3, 64, 64)):
+        with no_grad():
+            aux = toy_net.forward(Tensor(np.random.default_rng(139).uniform(0, 1, shape))).aux
+        batch = (slice(None),) * (len(shape) - 3)
+        for k, hand in enumerate("lr"):
+            heat = getattr(aux, f"heatmap_{hand}")
+            halves = batch + (slice(16 * k, 16 * k + 16),)
+            views = [(getattr(aux, f"f_{hand}"), aux.f.data[halves]),
+                     (getattr(aux, f"starred_{hand}"), aux.starred.data[batch + (k,)]),
+                     (heat.spatial_logits, aux.heatmap.spatial_logits.data[batch + (k,)]),
+                     (heat.depth_logits, aux.heatmap.depth_logits.data[batch + (k,)])]
+            for view, pair in views:
+                assert view.shape == pair.shape
+                assert view.data.tobytes() == pair.tobytes()
+            for name in ("f", "starred", "heatmap"):
+                with pytest.raises(AttributeError):
+                    setattr(aux, f"{name}_{hand}", getattr(aux, name))
 
 
 def test_full_network_gradients_small_config():

@@ -469,7 +469,7 @@ def test_output_and_aux_handles_keep_their_data_after_a_grad_forward():
         value = getattr(out.aux, f.name)
         handles += ([getattr(value, g.name) for g in dataclasses.fields(value)]
                     if dataclasses.is_dataclass(value) else [value])
-    assert len(handles) == 21
+    assert len(handles) == 14
     for t in handles:
         assert isinstance(t.data, np.ndarray) and t._node is not None
         assert t._node.shape == t.shape
