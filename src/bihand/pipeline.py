@@ -136,22 +136,12 @@ class Heatmap2p5D:
 
 
 @dataclass
-class JointCoords:
-    xy: Tensor  # [..., J, 2] continuous heatmap-frame pixels; also the sampling positions
-    z: Tensor   # [..., J] continuous depth-bin coordinate
-
-    def uvd(self):
-        return concat([self.xy, reshape(self.z, self.z.shape + (1,))], axis=-1)
-
-
-@dataclass
 class PipelineIntermediates:
     """What the stages pass to each other, the hand pair as a leading axis of 2,
     left first; a batch's fields carry a leading B axis before it."""
     f: Tensor = None                # [2c, h, w] backbone map, the left hand's c channels first
     starred: Tensor = None          # [2, c, h, w] interaction output, fed to the extractor
     heatmap: Heatmap2p5D = None     # [2, J, h, w] spatial and [2, J, D] depth logits
-    coords: JointCoords = None      # [2, J, ...] decoded joints
     joint_feats: Tensor = None      # [2, J, c] sampled at the decoded joints
     refined_feats: Tensor = None    # [2, J, c] after the joint refiner
 
@@ -295,16 +285,18 @@ class JointFeatureExtractor(Module):
 
     def __call__(self, maps):
         """The list of n per-hand maps [c,h,w], decoded and sampled as one batch:
-        their heatmaps [n,J,h,w] and [n,J,D], coordinates [n,J,...], features
-        [n,J,c], and the maps' stack [n,c,h,w] the features are sampled from."""
+        their heatmaps [n,J,h,w] and [n,J,D], joint coordinates ``uvd`` [n,J,3]
+        (continuous heatmap-frame x, y and depth bin), features [n,J,c] sampled
+        at each joint's (x, y), and the maps' stack [n,c,h,w] they are sampled from."""
         n, j = len(maps), self.joints
         heat = Heatmap2p5D(stack([self.heat_conv(f) for f in maps]),
                            stack([reshape(self.depth_conv(f).mean(axis=(1, 2)), (j, -1))
                                   for f in maps]))
         xy = soft_argmax(reshape(heat.spatial_logits, (n, j, -1)), self.pixel_grid)
         z = soft_argmax(heat.depth_logits, self.bins)
+        uvd = concat([xy, reshape(z, z.shape + (1,))], axis=-1)
         stacked = stack(maps)
-        return heat, JointCoords(xy=xy, z=z), grid_sample(stacked, xy), stacked
+        return heat, uvd, grid_sample(stacked, xy), stacked
 
 
 class JointSequenceRefiner(Module):
@@ -399,20 +391,18 @@ class BimanualHandNet(Module):
         for x in [img] if single else [img[i] for i in range(img.shape[0])]:
             fs.append(self.backbone(x))
             maps += self.interaction(fs[-1])
-        heat, coords, feats, starred = self.extractor(maps)
+        heat, uvd, feats, starred = self.extractor(maps)
         refined = self.refiner(feats)
         f = fs[0] if single else stack(fs)
         if not single:  # each [2B, ...] pair-batch as [B, 2, ...]
             def pairs(t):
                 return reshape(t, (len(fs), 2) + t.shape[1:])
             heat = Heatmap2p5D(pairs(heat.spatial_logits), pairs(heat.depth_logits))
-            coords = JointCoords(xy=pairs(coords.xy), z=pairs(coords.z))
-            feats, refined, starred = pairs(feats), pairs(refined), pairs(starred)
-        uvd = coords.uvd()
+            uvd, feats, refined, starred = pairs(uvd), pairs(feats), pairs(refined), pairs(starred)
         theta, beta, t_rel = self.regressor(refined, uvd, starred)
         hands = handmodel.lbs(self.rig, theta, beta)
 
-        aux = PipelineIntermediates(f=f, starred=starred, heatmap=heat, coords=coords,
+        aux = PipelineIntermediates(f=f, starred=starred, heatmap=heat,
                                     joint_feats=feats, refined_feats=refined)
         return FullOutput(theta=theta, beta=beta, joints_uvd=uvd, joints_mm=hands.joints,
                           vertices=hands.vertices, t_rel=t_rel, aux=aux)

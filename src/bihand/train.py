@@ -14,7 +14,7 @@ the network's coordinate head predicts in.
 
 import csv
 import gc
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -22,18 +22,16 @@ from . import handmodel
 from .pipeline import (BETA_DIM, THETA_SHAPE, BimanualHandNet, check_records,
                        load_checkpoint, save_checkpoint)
 from .ssm import scan_flops
-from .tensor import Tensor, no_grad, observe_ops
+from .tensor import Tensor, concat, no_grad, observe_ops, reshape
 
-LOSS_TERMS = ("theta_l", "theta_r", "beta_l", "beta_r",
-              "joint_l", "joint_r", "vert_l", "vert_r", "trel")
-
-TRACE_HEADER = ("step", "epoch", "lr", "total") + LOSS_TERMS
 METRICS_HEADER = ("split", "mpjpe_single", "mpjpe_two", "mpjpe_all",
                   "mpvpe_single", "mpvpe_two", "mpvpe_all")
+EVAL_BATCH = 8  # samples per ``evaluate`` forward, the CLI's default batch size
 
 
 @dataclass
 class LossWeights:
+    """One weight per loss term; ``LOSS_TERMS`` is its field names, in order."""
     theta_l: float = 1.0
     theta_r: float = 1.0
     beta_l: float = 1.0
@@ -51,6 +49,10 @@ class LossWeights:
                 raise ValueError(f"loss weight {f.name} must be a finite number >= 0, got {w}")
 
 
+LOSS_TERMS = tuple(f.name for f in fields(LossWeights))
+TRACE_HEADER = ("step", "epoch", "lr", "total") + LOSS_TERMS
+
+
 @dataclass
 class SceneCamera:
     """Fixed orthographic scene projection shared by renderer and targets."""
@@ -65,10 +67,10 @@ class SceneCamera:
                          cy + self.px_per_mm * points_mm[..., 1]], axis=-1)
 
     def place(self, points_mm, t_rel):
-        """Root-relative pair points [2, N, 3] in the scene: the left hand at
-        ``left_root_mm``, the right ``t_rel`` from it."""
-        roots = np.stack([np.asarray(self.left_root_mm), np.asarray(self.left_root_mm) + t_rel])
-        return points_mm + roots[:, None]
+        """Root-relative pair points [..., 2, N, 3] in the scene: the left hand at
+        ``left_root_mm``, the right ``t_rel`` [..., 3] from it."""
+        left = np.broadcast_to(self.left_root_mm, np.shape(t_rel))
+        return points_mm + np.stack([left, left + t_rel], axis=-2)[..., None, :]
 
     def depth_to_bin(self, z_mm, depth_bins):
         frac = (z_mm + self.depth_range_mm) / (2.0 * self.depth_range_mm)
@@ -146,44 +148,34 @@ def mae(pred, target, term, axis=None):
 
 
 def loss_terms(pred, gt):
-    """The nine mean-absolute-error terms, keyed as in the trace CSV; each
-    pair quantity's two hand terms come from one error over the pair. For a
-    batch's outputs and its ground truth (``TrainingSample.stack``) each term
-    is a [B] vector of the samples' terms; for one sample, a scalar."""
+    """The nine mean-absolute-error terms along a trailing axis, in
+    ``LOSS_TERMS`` order: [9] for one sample, [B, 9] for a batch's outputs and
+    its ground truth (``TrainingSample.stack``). Each pair quantity's two hand
+    terms come from one error over the pair, and one ``concat`` joins them."""
     lead = pred.t_rel.ndim - 1  # the batch axis, if any, precedes the pair axis
-    terms = {}
+    errs = []
     for term, name in (("theta", "theta"), ("beta", "beta"), ("joint", "joints_uvd"),
                        ("vert", "vertices")):
         p = getattr(pred, name)
-        err = mae(p, getattr(gt, f"gt_{name}"), term, axis=tuple(range(lead + 1, p.ndim)))
-        terms[f"{term}_l"], terms[f"{term}_r"] = err[..., 0], err[..., 1]
-    terms["trel"] = mae(pred.t_rel, gt.gt_t_rel, "trel", axis=-1)
-    return terms
-
-
-def weighted_sum(terms, weights):
-    """Sum of the terms scaled by ``weights``, added in LOSS_TERMS order."""
-    total = None
-    for name in LOSS_TERMS:
-        term = terms[name] * getattr(weights, name)
-        total = term if total is None else total + term
-    return total
+        errs.append(mae(p, getattr(gt, f"gt_{name}"), term, axis=tuple(range(lead + 1, p.ndim))))
+    trel = mae(pred.t_rel, gt.gt_t_rel, "trel", axis=-1)
+    return concat(errs + [reshape(trel, trel.shape + (1,))], axis=-1)
 
 
 def loss(pred, gt, weights=None):
     """Weighted sum of the nine L1 terms: a scalar, or [B] for a batch."""
-    return weighted_sum(loss_terms(pred, gt), weights or LossWeights())
+    return (loss_terms(pred, gt) * Tensor(astuple(weights or LossWeights()))).sum(axis=-1)
 
 
 def batch_loss(net, samples):
-    """One graph over ``samples``: the mean of their weighted losses, and the
-    nine [B] loss terms. The images and ground truth are stacked into one
-    batch and run through one forward; the samples' weighted sums are added
-    in sample order and scaled by 1/B, so the mean has the bits of a loop
-    of per-sample forwards."""
+    """One graph over ``samples``: the mean of their weighted losses, and their
+    [B, 9] loss terms. The images and ground truth are stacked into one batch
+    and run through one forward; the samples' losses are added in sample
+    order and scaled by 1/B, so the mean has the bits of a loop of
+    per-sample ``loss`` calls."""
     gt = TrainingSample.stack(samples)
     terms = loss_terms(net.forward(Tensor(gt.image)), gt)
-    per_sample = weighted_sum(terms, LossWeights())
+    per_sample = (terms * Tensor(astuple(LossWeights()))).sum(axis=-1)
     total = per_sample[0]
     for i in range(1, len(samples)):
         total = total + per_sample[i]
@@ -286,68 +278,67 @@ def synth_dataset(config, rig, n, seed, noise=0.0):
 
 
 def hands_overlap(sample, config):
-    """Split heuristic: do the two hands' joint bounding boxes intersect?"""
+    """Split heuristic: do the two hands' joint bounding boxes intersect? For a
+    batch of samples (``TrainingSample.stack``), one answer per sample."""
     camera = SceneCamera()
     world = camera.place(sample.gt_joints, sample.gt_t_rel)
-    pts = camera.project_px(world, config.image_h, config.image_w)  # [2, 21, 2]
+    pts = camera.project_px(world, config.image_h, config.image_w)  # [..., 2, 21, 2]
     # each hand's box starts no later than the other's ends, in x and in y
-    return bool(np.all(pts.min(axis=1) <= pts.max(axis=1)[::-1]))
+    return np.all(pts.min(axis=-2) <= pts.max(axis=-2)[..., ::-1, :], axis=(-2, -1))
 
 
 # -- metrics ----------------------------------------------------------------------
 
 def mpjpe(pred_joints, gt_joints):
-    """Mean per-joint Euclidean distance in mm after aligning joint 0, the root."""
+    """Mean per-joint Euclidean distance in mm after aligning joint 0, the root:
+    one number for one hand's joints [N, 3], one per hand for [..., N, 3]."""
     pred = np.asarray(pred_joints, dtype=np.float64)
     gt = np.asarray(gt_joints, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"joint sets disagree: {pred.shape} vs {gt.shape}")
-    pred = pred - pred[0]
-    gt = gt - gt[0]
-    return float(np.linalg.norm(pred - gt, axis=1).mean())
+    pred = pred - pred[..., :1, :]
+    gt = gt - gt[..., :1, :]
+    return np.linalg.norm(pred - gt, axis=-1).mean(axis=-1)
 
 
 def mpvpe(pred_vertices, gt_vertices, regressor):
-    """Mean per-vertex distance in mm, aligned at the regressed root joint (row 0)."""
+    """Mean per-vertex distance in mm, aligned at the regressed root joint (row 0):
+    one number for one hand's vertices [V, 3], one per hand for [..., V, 3]."""
     pred = np.asarray(pred_vertices, dtype=np.float64)
     gt = np.asarray(gt_vertices, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"vertex sets disagree: {pred.shape} vs {gt.shape}")
-    pred = pred - regressor[0] @ pred
-    gt = gt - regressor[0] @ gt
-    return float(np.linalg.norm(pred - gt, axis=1).mean())
+    pred = pred - (regressor[0] @ pred)[..., None, :]
+    gt = gt - (regressor[0] @ gt)[..., None, :]
+    return np.linalg.norm(pred - gt, axis=-1).mean(axis=-1)
 
 
 def evaluate(net, dataset):
-    """Per-split MPJPE/MPVPE means over samples (both hands averaged); a
-    non-finite output is a ValueError naming its sample."""
+    """Per-split MPJPE/MPVPE means over samples, each sample's the mean of its
+    two hands'; ``mpjpe_all``/``mpvpe_all`` average every sample in dataset
+    order. The samples run ``EVAL_BATCH`` at a time, one no_grad batch forward
+    each. A non-finite output is a ValueError naming its first sample."""
     if not dataset:
         raise ValueError("cannot evaluate an empty dataset")
-    rows = {"single": [], "two": []}
-    for i, sample in enumerate(dataset):
+    pj, pv, two = [], [], []
+    for start in range(0, len(dataset), EVAL_BATCH):
+        gt = TrainingSample.stack(dataset[start:start + EVAL_BATCH])
         with no_grad():
-            out = net.forward(Tensor(sample.image))
+            out = net.forward(Tensor(gt.image))
         joints, vertices = out.joints_mm.data, out.vertices.data
-        for name, arr in (("joints_mm", joints), ("vertices", vertices)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"sample {i} (s{i:05d}): the network's {name} "
-                                 f"holds a non-finite value")
-        pj = 0.5 * (mpjpe(joints[0], sample.gt_joints[0]) + mpjpe(joints[1], sample.gt_joints[1]))
-        pv = 0.5 * (mpvpe(vertices[0], sample.gt_vertices[0], net.rig.regressor)
-                    + mpvpe(vertices[1], sample.gt_vertices[1], net.rig.regressor))
-        split = "two" if hands_overlap(sample, net.config) else "single"
-        rows[split].append((pj, pv))
-
-    def agg(pairs, idx):
-        return float(np.mean([p[idx] for p in pairs])) if pairs else float("nan")
-
-    all_rows = rows["single"] + rows["two"]
-    return {
-        "mpjpe_single": agg(rows["single"], 0), "mpjpe_two": agg(rows["two"], 0),
-        "mpjpe_all": agg(all_rows, 0),
-        "mpvpe_single": agg(rows["single"], 1), "mpvpe_two": agg(rows["two"], 1),
-        "mpvpe_all": agg(all_rows, 1),
-    }
+        finite = np.stack([np.isfinite(a).all(axis=(-3, -2, -1)) for a in (joints, vertices)],
+                          axis=-1)  # [b, 2]: each sample's joints, then its vertices
+        if not finite.all():
+            i, k = np.argwhere(~finite)[0]
+            raise ValueError(f"sample {start + i} (s{start + i:05d}): the network's "
+                             f"{('joints_mm', 'vertices')[k]} holds a non-finite value")
+        pj.append(mpjpe(joints, gt.gt_joints).mean(axis=-1))
+        pv.append(mpvpe(vertices, gt.gt_vertices, net.rig.regressor).mean(axis=-1))
+        two.append(hands_overlap(gt, net.config))
+    pj, pv, two = np.concatenate(pj), np.concatenate(pv), np.concatenate(two)
+    splits = {"single": ~two, "two": two, "all": np.ones_like(two)}
+    return {f"{metric}_{split}": float(values[keep].mean()) if keep.any() else float("nan")
+            for metric, values in (("mpjpe", pj), ("mpvpe", pv)) for split, keep in splits.items()}
 
 
 # -- training loop ------------------------------------------------------------------
@@ -400,10 +391,9 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
                     total, terms = batch_loss(net, batch)
                 except RuntimeError as exc:  # the scan rejects NaN before the loss sees it
                     raise RuntimeError(f"non-finite loss at step {step}: {exc}") from exc
-                term_values = dict.fromkeys(LOSS_TERMS, 0.0)
-                for name in LOSS_TERMS:
-                    for term in terms[name].data:  # in sample order, as the trace always summed
-                        term_values[name] += float(term) / len(batch)
+                term_values = np.zeros(len(LOSS_TERMS))
+                for row in terms.data:  # in sample order, as the trace always summed
+                    term_values += row / len(batch)
                 value = float(total.data)
                 if not np.isfinite(value):
                     raise RuntimeError(f"non-finite loss at step {step}")
@@ -413,8 +403,7 @@ def train_loop(net, dataset, epochs, batch_size, lr, schedule="none"):
                 total.backward()
                 del total, terms  # the graph dies here, not while the next step builds its own
                 opt.step()
-                result.trace.append([step, epoch, cur_lr, value]
-                                    + [term_values[n] for n in LOSS_TERMS])
+                result.trace.append([step, epoch, cur_lr, value] + term_values.tolist())
                 result.final_loss = value
                 step += 1
     finally:

@@ -7,6 +7,7 @@ batch of images runs the hand stages once for all its 2B hands, with each
 image's single-image bits."""
 
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -196,6 +197,22 @@ def test_toy_forward_and_loss_keep_the_pair_under_the_tighter_budget():
     assert tags["abs"] == 5  # one L1 chain per pair quantity, and one for t_rel
 
 
+def test_the_loss_weighs_its_nine_terms_without_slicing_them():
+    # one concat of the pair errors, one mul by the weights and one sum; the
+    # terms cut into nine scalars and added back one by one ran 40 ops
+    net, sample = _toy_training_sample()
+    rng = np.random.default_rng(5)
+    with no_grad():
+        out = net.forward(Tensor(sample.image))
+    leaves = {name: Tensor(rng.normal(0, 1, getattr(out, name).shape), requires_grad=True)
+              for name in ("theta", "beta", "joints_uvd", "vertices", "t_rel")}
+    out = dataclasses.replace(out, **leaves)
+    tags = collections.Counter()
+    with observe_ops(lambda tag, data, parents: tags.update([tag])):
+        tr.loss(out, sample)
+    assert tags["getitem"] == 0 and sum(tags.values()) <= 20, tags
+
+
 def test_every_training_op_but_the_joint_regression_reaches_the_loss():
     net, sample = _toy_training_sample()
     pair = tr.synth_dataset(net.config, net.rig, 2, seed=3)
@@ -270,7 +287,6 @@ def _arrays(out):
         heat = getattr(aux, hand)
         named[f"aux.{hand}.spatial"] = heat.spatial_logits
         named[f"aux.{hand}.depth"] = heat.depth_logits
-    named["aux.coords.xy"], named["aux.coords.z"] = aux.coords.xy, aux.coords.z
     return {name: t.data for name, t in named.items()}
 
 
@@ -281,15 +297,17 @@ def test_batch_forward_and_loss_match_single_image_calls():
     out = net.forward(Tensor(batch.image))
     terms = tr.loss_terms(out, batch)
     batched = _arrays(out)
-    assert len(batched) == 18
+    assert len(batched) == 16
+    assert terms.shape == (3, len(tr.LOSS_TERMS))
     for i, sample in enumerate(samples):
         single = net.forward(Tensor(sample.image))
         for name, array in _arrays(single).items():
             assert batched[name][i].shape == array.shape, name
             assert batched[name][i].tobytes() == array.tobytes(), name
-        for name, term in tr.loss_terms(single, sample).items():
-            assert terms[name].shape == (3,) and term.shape == ()
-            assert terms[name].data[i].tobytes() == term.data.tobytes(), name
+        single_terms = tr.loss_terms(single, sample)
+        assert single_terms.shape == (len(tr.LOSS_TERMS),)
+        for k, name in enumerate(tr.LOSS_TERMS):
+            assert terms.data[i, k].tobytes() == single_terms.data[k].tobytes(), name
 
 
 def test_no_parameter_gradient_is_rounding_noise():
@@ -312,18 +330,19 @@ def test_toy_batch_step_matches_the_per_sample_loop():
     row = tr.train_loop(net, samples, epochs=1, batch_size=8, lr=0.0).trace[0]
     batched = [t.grad.copy() for _, t in net.params()]
 
-    total, term_values = None, dict.fromkeys(tr.LOSS_TERMS, 0.0)
+    total, term_values = None, [0.0] * len(tr.LOSS_TERMS)
     for sample in samples:
-        terms = tr.loss_terms(net.forward(Tensor(sample.image)), sample)
-        for name in tr.LOSS_TERMS:
-            term_values[name] += float(terms[name].data) / len(samples)
-        loss = tr.weighted_sum(terms, tr.LossWeights())
+        out = net.forward(Tensor(sample.image))
+        terms = tr.loss_terms(out, sample)
+        for k in range(len(tr.LOSS_TERMS)):
+            term_values[k] += float(terms.data[k]) / len(samples)
+        loss = tr.loss(out, sample)
         total = loss if total is None else total + loss
     total = total * (1.0 / len(samples))
     for _, t in net.params():
         t.grad = None
     total.backward()
-    assert row == [0, 0, 0.0, float(total.data)] + [term_values[n] for n in tr.LOSS_TERMS]
+    assert row == [0, 0, 0.0, float(total.data)] + term_values
     for (name, t), g in zip(net.params(), batched):
         assert np.max(np.abs(g - t.grad)) <= GRAD_TOL * np.max(np.abs(t.grad)), name
 

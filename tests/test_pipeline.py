@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from bihand import pipeline as pl
-from bihand.tensor import Tensor, concat, no_grad, stack
+from bihand.tensor import Tensor, concat, no_grad, reshape, stack
 from bihand.gradcheck import fd_check
 
 
@@ -186,8 +186,8 @@ def test_extractor_near_delta_logits(toy_net):
     ext.heat_conv.weight.data[0, 0, 0, 0] = 1.0  # joint 0 reads input channel 0
     f = np.zeros((cfg.hand_channels, 8, 8))
     f[0, 2, 5] = 1000.0
-    _, coords, _, _ = ext([Tensor(f), Tensor(f)])
-    npt.assert_allclose(coords.xy.data[:, 0], [[5.0, 2.0]] * 2, atol=1e-6)
+    _, uvd, _, _ = ext([Tensor(f), Tensor(f)])
+    npt.assert_allclose(uvd.data[:, 0, :2], [[5.0, 2.0]] * 2, atol=1e-6)
 
 
 def test_extractor_uniform_logits_give_center(toy_net):
@@ -196,9 +196,9 @@ def test_extractor_uniform_logits_give_center(toy_net):
     ext.heat_conv.weight.data[:] = 0.0
     ext.heat_conv.weight.data[:, 0, 0, 0] = np.arange(cfg.joints)  # constant per joint
     f = Tensor(np.ones((cfg.hand_channels, 8, 8)))
-    _, coords, _, _ = ext([f, f])
-    assert np.all(coords.xy.data[..., 0] == 3.5)
-    assert np.all(coords.xy.data[..., 1] == 3.5)
+    _, uvd, _, _ = ext([f, f])
+    assert np.all(uvd.data[..., 0] == 3.5)
+    assert np.all(uvd.data[..., 1] == 3.5)
 
 
 def test_extractor_coords_match_expectation_loops(toy_net):
@@ -206,21 +206,21 @@ def test_extractor_coords_match_expectation_loops(toy_net):
     ext = pl.JointFeatureExtractor(cfg, np.random.default_rng(53))
     rng = np.random.default_rng(59)
     f = Tensor(rng.uniform(-2, 2, (cfg.hand_channels, 8, 8)))
-    heat, coords, _, _ = ext([f, Tensor(np.zeros(f.shape))])
+    heat, uvd, _, _ = ext([f, Tensor(np.zeros(f.shape))])
     logits = heat.spatial_logits.data[0]
     for j in range(cfg.joints):
         w = np.exp(logits[j] - logits[j].max())
         w /= w.sum()
         ex = sum(w[y, x] * x for y in range(8) for x in range(8))
         ey = sum(w[y, x] * y for y in range(8) for x in range(8))
-        assert abs(coords.xy.data[0, j, 0] - ex) <= 1e-12
-        assert abs(coords.xy.data[0, j, 1] - ey) <= 1e-12
+        assert abs(uvd.data[0, j, 0] - ex) <= 1e-12
+        assert abs(uvd.data[0, j, 1] - ey) <= 1e-12
     dz = heat.depth_logits.data[0]
     for j in range(cfg.joints):
         w = np.exp(dz[j] - dz[j].max())
         w /= w.sum()
         ez = (w * np.arange(cfg.depth_bins)).sum()
-        assert abs(coords.z.data[0, j] - ez) <= 1e-12
+        assert abs(uvd.data[0, j, 2] - ez) <= 1e-12
 
 
 def test_extractor_feature_hull(toy_net):
@@ -229,10 +229,10 @@ def test_extractor_feature_hull(toy_net):
     with no_grad():
         for _ in range(50):
             f_l, f_r = (Tensor(rng.uniform(-9, 9, (cfg.hand_channels, 8, 8))) for _ in "lr")
-            _, coords, _, _ = toy_net.extractor([f_l, f_r])
-            assert np.all(coords.xy.data[..., 0] >= 0) and np.all(coords.xy.data[..., 0] <= 7)
-            assert np.all(coords.xy.data[..., 1] >= 0) and np.all(coords.xy.data[..., 1] <= 7)
-            assert np.all(coords.z.data >= 0) and np.all(coords.z.data <= cfg.depth_bins - 1)
+            _, uvd, _, _ = toy_net.extractor([f_l, f_r])
+            assert np.all(uvd.data[..., 0] >= 0) and np.all(uvd.data[..., 0] <= 7)
+            assert np.all(uvd.data[..., 1] >= 0) and np.all(uvd.data[..., 1] <= 7)
+            assert np.all(uvd.data[..., 2] >= 0) and np.all(uvd.data[..., 2] <= cfg.depth_bins - 1)
 
 
 # -- joint refiner --------------------------------------------------------------
@@ -279,11 +279,10 @@ def test_regressor_zero_weights_zero_outputs():
         t.data[:] = 0.0
     rng = np.random.default_rng(101)
     c, j = cfg.hand_channels, cfg.joints
-    coords = pl.JointCoords(xy=Tensor(rng.uniform(0, 1, (j, 2))),
-                            z=Tensor(rng.uniform(0, 1, j)))
+    xy, z = rng.uniform(0, 1, (j, 2)), rng.uniform(0, 1, j)
     refined = Tensor(rng.uniform(-1, 1, (j, c)))
     starred = Tensor(rng.uniform(-1, 1, (c, 2, 2)))
-    uvd = stack([coords.uvd(), coords.uvd()])
+    uvd = Tensor(np.stack([np.concatenate([xy, z[:, None]], axis=-1)] * 2))
     theta, beta, t_rel = reg(stack([refined, refined]), uvd, stack([starred, starred]))
     assert theta.shape == (2, 16, 3) and theta.data.size == 96
     assert beta.shape == (2, 10)
@@ -298,10 +297,9 @@ def test_regressor_gradients():
     for _, t in reg.params():
         t.data[:] = rng.normal(0, 0.2, t.data.shape)  # heads start at zero
     c, j = cfg.hand_channels, cfg.joints
-    coords_l = pl.JointCoords(xy=Tensor(rng.uniform(0, 1, (j, 2)), requires_grad=True),
-                              z=Tensor(rng.uniform(0, 1, j), requires_grad=True))
-    coords_r = pl.JointCoords(xy=Tensor(rng.uniform(0, 1, (j, 2))),
-                              z=Tensor(rng.uniform(0, 1, j)))
+    xy_l = Tensor(rng.uniform(0, 1, (j, 2)), requires_grad=True)
+    z_l = Tensor(rng.uniform(0, 1, j), requires_grad=True)
+    xy_r, z_r = Tensor(rng.uniform(0, 1, (j, 2))), Tensor(rng.uniform(0, 1, j))
     ref_l = Tensor(rng.uniform(-1, 1, (j, c)), requires_grad=True)
     ref_r = Tensor(rng.uniform(-1, 1, (j, c)))
     s_l = Tensor(rng.uniform(-1, 1, (c, 2, 2)), requires_grad=True)
@@ -310,12 +308,12 @@ def test_regressor_gradients():
          Tensor(rng.uniform(-1, 1, 3))]
 
     def run():
-        theta, beta, t_rel = reg(stack([ref_l, ref_r]),
-                                 stack([coords_l.uvd(), coords_r.uvd()]), stack([s_l, s_r]))
+        uvd = concat([stack([xy_l, xy_r]), reshape(stack([z_l, z_r]), (2, j, 1))], axis=-1)
+        theta, beta, t_rel = reg(stack([ref_l, ref_r]), uvd, stack([s_l, s_r]))
         return ((theta[0] * w[0]).sum() + (beta[0] * w[1]).sum() + (theta[1] * w[0]).sum()
                 + (t_rel * w[2]).sum())
 
-    leaves = [coords_l.xy, coords_l.z, ref_l, s_l] + [t for _, t in reg.params()]
+    leaves = [xy_l, z_l, ref_l, s_l] + [t for _, t in reg.params()]
     assert fd_check(run, leaves, max_coords_per_leaf=8, rng=rng) <= 1e-6
 
 
@@ -349,13 +347,11 @@ def test_forward_exposes_all_intermediates(toy_net):
         out = toy_net.forward(Tensor(rng.uniform(0, 1, (3, 64, 64))))
     aux = out.aux
     assert [f.name for f in dataclasses.fields(aux)] == [
-        "f", "starred", "heatmap", "coords", "joint_feats", "refined_feats"]
+        "f", "starred", "heatmap", "joint_feats", "refined_feats"]
     assert aux.f.shape == (32, 8, 8)
     assert aux.starred.shape == (2, 16, 8, 8)
     assert aux.heatmap.spatial_logits.shape == (2, 21, 8, 8)
     assert aux.heatmap.depth_logits.shape == (2, 21, 16)
-    assert aux.coords.xy.shape == (2, 21, 2)  # sampling positions
-    assert aux.coords.z.shape == (2, 21)
     assert aux.joint_feats.shape == aux.refined_feats.shape == (2, 21, 16)
 
 

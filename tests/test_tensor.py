@@ -426,7 +426,8 @@ def test_a_toy_batch_graph_holds_no_array_in_a_node_and_no_handle_in_a_rule():
     root = _toy_batch_loss(net, tr.synth_dataset(net.config, net.rig, 2, seed=3))
     nodes = T._toposort(root)
     interior = [n for n in nodes if isinstance(n, T.Node)]
-    assert len(interior) == len([n for n in nodes if n._parents]) > 400
+    # the floor only makes sure a whole training step is walked
+    assert len(interior) == len([n for n in nodes if n._parents]) > 350
     arrays = [n._op for n in interior
               if any(isinstance(r, np.ndarray) for r in gc.get_referents(n))]
     assert arrays == []
@@ -469,7 +470,7 @@ def test_output_and_aux_handles_keep_their_data_after_a_grad_forward():
         value = getattr(out.aux, f.name)
         handles += ([getattr(value, g.name) for g in dataclasses.fields(value)]
                     if dataclasses.is_dataclass(value) else [value])
-    assert len(handles) == 14
+    assert len(handles) == 12
     for t in handles:
         assert isinstance(t.data, np.ndarray) and t._node is not None
         assert t._node.shape == t.shape

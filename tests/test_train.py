@@ -242,6 +242,81 @@ def test_hands_apart_fall_in_the_single_split(toy_setup, t_rel):
     assert np.isfinite(metrics["mpjpe_single"]) and np.isnan(metrics["mpjpe_two"])
 
 
+@pytest.fixture(scope="module")
+def eval_setup():
+    """A toy net whose zero-initialized heads are woken, so each sample's outputs
+    differ, and 11 samples (two chunks of ``evaluate``): sample 4 is moved
+    200 mm from its partner into the single split, the rest overlap."""
+    cfg = PipelineConfig.toy(seed=2)
+    net = BimanualHandNet(cfg)
+    rng = np.random.default_rng(2)
+    for _, t in net.params():
+        if np.all(t.data == 0.0):
+            t.data[:] = rng.normal(0, 0.1, t.data.shape)
+    data = tr.synth_dataset(cfg, net.rig, 11, seed=5)
+    data[4] = dataclasses.replace(data[4], gt_t_rel=np.array([200.0, 0.0, 0.0]))
+    return net, data
+
+
+def _evaluate_per_sample(net, dataset):
+    """The metrics one image and one hand at a time: the oracle for ``evaluate``."""
+    rows = {"single": [], "two": []}
+    for sample in dataset:
+        with T.no_grad():
+            out = net.forward(Tensor(sample.image))
+        joints, vertices = out.joints_mm.data, out.vertices.data
+        pj = 0.5 * (tr.mpjpe(joints[0], sample.gt_joints[0])
+                    + tr.mpjpe(joints[1], sample.gt_joints[1]))
+        pv = 0.5 * (tr.mpvpe(vertices[0], sample.gt_vertices[0], net.rig.regressor)
+                    + tr.mpvpe(vertices[1], sample.gt_vertices[1], net.rig.regressor))
+        rows["two" if tr.hands_overlap(sample, net.config) else "single"].append((pj, pv))
+    rows["all"] = rows["single"] + rows["two"]
+    return {f"{metric}_{split}": float(np.mean([r[k] for r in pairs])) if pairs else float("nan")
+            for k, metric in enumerate(("mpjpe", "mpvpe")) for split, pairs in rows.items()}
+
+
+@pytest.mark.parametrize("indices", [range(11), range(9), range(3, 11), [4],
+                                     [i for i in range(11) if i != 4]])
+def test_batched_evaluate_matches_the_per_sample_oracle(eval_setup, monkeypatch, indices):
+    net, data = eval_setup
+    dataset = [data[i] for i in indices]
+    want = _evaluate_per_sample(net, dataset)
+    forward, batches = net.forward, []
+    monkeypatch.setattr(net, "forward", lambda img: batches.append(img.shape[0]) or forward(img))
+    got = tr.evaluate(net, dataset)
+    assert batches == [min(tr.EVAL_BATCH, len(dataset) - s)
+                       for s in range(0, len(dataset), tr.EVAL_BATCH)]
+    assert list(got) == list(want) == list(tr.METRICS_HEADER[1:])
+    both_splits = not (np.isnan(want["mpjpe_single"]) or np.isnan(want["mpjpe_two"]))
+    for name, value in got.items():
+        assert type(value) is float, name
+        if both_splits and name.endswith("_all"):
+            # the samples in dataset order, where the oracle took the single split first
+            assert abs(value - want[name]) <= 1e-12 * abs(want[name]), name
+        else:
+            assert repr(value) == repr(want[name]), name
+
+
+@pytest.mark.parametrize("bad, named", [([(9, "vertices"), (10, "joints_mm")], "vertices"),
+                                        ([(9, "vertices"), (9, "joints_mm")], "joints_mm")])
+def test_batched_evaluate_names_the_first_non_finite_sample(eval_setup, monkeypatch, bad, named):
+    # sample 9 is the second of the second chunk; within a sample the joints come first
+    net, data = eval_setup
+    forward, starts = net.forward, [0]
+
+    def poisoned(img):
+        out = forward(img)
+        for index, field in bad:
+            i = index - starts[0]
+            if 0 <= i < img.shape[0]:
+                getattr(out, field).data[i, 1, 0, 0] = np.nan
+        starts[0] += img.shape[0]
+        return out
+    monkeypatch.setattr(net, "forward", poisoned)
+    with pytest.raises(ValueError, match=rf"^sample 9 \(s00009\): the network's {named} holds"):
+        tr.evaluate(net, data)
+
+
 def test_synth_deterministic_per_seed(toy_setup):
     cfg, net, _ = toy_setup
     a = tr.synth_dataset(cfg, net.rig, 3, seed=11)
