@@ -18,6 +18,7 @@ re-saving is byte-identical. Configs are plain JSON mirroring
 import dataclasses
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -417,7 +418,7 @@ class BimanualHandNet(Module):
         own = self.params()
         check_records(records, [(name, t.shape) for name, t in own], "checkpoint")
         for (_, data), (_, t) in zip(records, own):
-            t.data = np.ascontiguousarray(data)
+            t.data = data
 
 
 def build_rig(config):
@@ -450,7 +451,8 @@ def check_records(records, expected, what):
 
 def save_checkpoint(path, named_tensors):
     """Write length-prefixed (name, shape, float64 LE data) records, then the
-    u32 ``zlib.crc32`` of every byte before it."""
+    u32 ``zlib.crc32`` of every byte before it. Each array's own buffer is
+    written and checksummed, with no copy of a float64 C-contiguous one."""
     crc = 0
     with open(path, "wb") as fh:
         def write(raw):
@@ -459,71 +461,80 @@ def save_checkpoint(path, named_tensors):
             crc = zlib.crc32(raw, crc)
         write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(named_tensors)))
         for name, t in named_tensors:
-            arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+            arr = np.asarray(t.data if isinstance(t, Tensor) else t, dtype="<f8", order="C")
             raw = name.encode("utf-8")
             write(struct.pack("<I", len(raw)) + raw
                   + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
-            write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            write(arr)
         fh.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path):
     """Read records back as (name, float64 array) pairs, validating framing.
 
-    Every read is bounds-checked: a short or inconsistent file raises
-    ValueError naming the record index and byte offset, and a record's
-    declared size is checked against the bytes left before it is allocated.
-    Once the framing has parsed, the trailing CRC-32 must match the bytes
-    before it, so a flipped bit is a named error.
+    The file is read record by record: each record's data goes straight into
+    one fresh array, the array returned, and the CRC-32 is accumulated as
+    the bytes arrive. Every read is checked against the bytes left before
+    anything is allocated: a short or inconsistent file raises ValueError
+    naming the record index and byte offset. Once the framing has parsed,
+    the trailing CRC-32 must match the bytes before it, so a flipped bit is
+    a named error.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    offset = 0
-    where = "the header"
+        size = os.fstat(fh.fileno()).st_size
+        offset, crc = 0, 0
+        where = "the header"
 
-    def take(n, what):
-        # advance past n bytes and return where they start
-        nonlocal offset
-        left = len(blob) - offset
-        if n > left:
-            raise ValueError(f"checkpoint truncated in {where} at byte {offset}: "
-                             f"{what} needs {n} bytes, {left} remain")
-        offset += n
-        return offset - n
+        def take(n, what, shape=None):
+            # the next n bytes, once the file is known to hold them: as bytes, or
+            # given the record's ``shape``, read straight into a fresh float64 array
+            nonlocal offset, crc
+            left = size - offset
+            if n <= left:
+                if shape is None:
+                    buf = fh.read(n)
+                    left = len(buf)
+                else:
+                    buf = np.empty(shape, dtype="<f8")
+                    left = fh.readinto(buf)  # short only if the file shrank while read
+            if n > left:
+                raise ValueError(f"checkpoint truncated in {where} at byte {offset}: "
+                                 f"{what if shape is None else f'{what} {shape}'} "
+                                 f"needs {n} bytes, {left} remain")
+            crc = zlib.crc32(buf, crc)
+            offset += n
+            return buf
 
-    def unpack(fmt, what):
-        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt), what))[0]
+        def unpack(fmt, what):
+            return struct.unpack(fmt, take(struct.calcsize(fmt), what))
 
-    magic = blob[take(4, "magic"):offset]
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    version = unpack("<I", "version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    count = unpack("<Q", "record count")
-    records = []
-    for index in range(count):
-        where = f"record {index}"
-        name_len = unpack("<I", "name length")
-        raw = blob[take(name_len, "name"):offset]
-        try:
-            name = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"checkpoint record {index} at byte {offset - name_len}: "
-                             f"name is not UTF-8") from None
-        ndim = unpack("<I", "rank")
-        shape = struct.unpack_from(f"<{ndim}Q", blob, take(8 * ndim, f"a shape of rank {ndim}"))
-        n = math.prod(shape)
-        start = take(8 * n, f"shape {shape}")
-        data = np.frombuffer(blob, dtype="<f8", count=n, offset=start).reshape(shape)
-        records.append((name, data.astype(np.float64)))
-    where = "the checksum"
-    stored = unpack("<I", "the CRC-32")
-    if offset != len(blob):
-        raise ValueError(f"checkpoint has {len(blob) - offset} trailing bytes after "
+        magic = take(4, "magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise ValueError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        version, = unpack("<I", "version")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        count, = unpack("<Q", "record count")
+        records = []
+        for index in range(count):
+            where = f"record {index}"
+            name_len, = unpack("<I", "name length")
+            raw = take(name_len, "name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"checkpoint record {index} at byte {offset - name_len}: "
+                                 f"name is not UTF-8") from None
+            ndim, = unpack("<I", "rank")
+            shape = unpack(f"<{ndim}Q", f"a shape of rank {ndim}")
+            records.append((name, take(8 * math.prod(shape), "shape", shape)))
+        where = "the checksum"
+        body_crc = crc
+        stored, = unpack("<I", "the CRC-32")
+    if offset != size:
+        raise ValueError(f"checkpoint has {size - offset} trailing bytes after "
                          f"its {count} records, at byte {offset}")
-    crc = zlib.crc32(memoryview(blob)[:offset - 4])
-    if crc != stored:
-        raise ValueError(f"checkpoint checksum mismatch: its bytes give CRC-32 {crc:#010x}, "
+    if body_crc != stored:
+        raise ValueError(f"checkpoint checksum mismatch: its bytes give CRC-32 {body_crc:#010x}, "
                          f"its last 4 bytes hold {stored:#010x}; the file is corrupt")
     return records

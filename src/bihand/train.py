@@ -105,35 +105,23 @@ class TrainingSample:
 
 
 def save_dataset(path, samples):
-    """Write ``samples`` as a ``meta/count`` record, then each sample's
-    fields in order, named ``s00000/image``, ``s00000/gt_theta``, ..."""
-    records = [("meta/count", float(len(samples)))]
-    for i, s in enumerate(samples):
-        for f in fields(s):
-            records.append((f"s{i:05d}/{f.name}", getattr(s, f.name)))
-    save_checkpoint(path, records)
+    """Write each sample's seven fields in order, as records named
+    ``s00000/image``, ``s00000/gt_theta``, ...; the records count the samples."""
+    save_checkpoint(path, [(f"s{i:05d}/{f.name}", getattr(s, f.name))
+                           for i, s in enumerate(samples) for f in fields(s)])
 
 
 def load_dataset(path, config):
     """Samples of a dataset file, its records checked in order against the
-    shapes ``config`` gives; a malformed or non-finite record is a named error."""
+    shapes ``config`` gives; a malformed or non-finite record is a named error.
+    The sample count is the record count rounded up to whole samples, so a
+    short last sample is named by the count check."""
     records = load_checkpoint(path)
-    count = dict(records).get("meta/count")
-    if count is None:
-        raise ValueError("dataset file is missing its sample count record")
-    if count.shape != ():
-        raise ValueError(f"dataset record 'meta/count' must be a scalar, got shape {count.shape}")
-    n = float(count)
-    if not (n >= 0 and n.is_integer()):
-        raise ValueError(f"dataset record 'meta/count' must be a non-negative integer, got {n}")
-    if n > len(records):
-        raise ValueError(f"dataset record 'meta/count' says {int(n)} samples, "
-                         f"but the file holds {len(records)} records")
     shapes = TrainingSample.shapes(config)
-    expected = [("meta/count", ())] + [(f"s{i:05d}/{fname}", shape) for i in range(int(n))
-                                       for fname, shape in shapes.items()]
-    check_records(records, expected, "dataset")
-    values = [data for _, data in records[1:]]
+    n = -(-len(records) // len(shapes))
+    check_records(records, [(f"s{i:05d}/{fname}", shape) for i in range(n)
+                            for fname, shape in shapes.items()], "dataset")
+    values = [data for _, data in records]
     return [TrainingSample(**dict(zip(shapes, values[i:i + len(shapes)])))
             for i in range(0, len(values), len(shapes))]
 
